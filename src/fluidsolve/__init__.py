@@ -25,7 +25,6 @@ from .equivalence import (
     pagerank_matrix,
     to_diffusion,
     verify_equivalence,
-    write_reports_csv,
 )
 from .io import ParseError, format_float, read_matrix_market, read_vector, write_trace_csv
 from .linalg import (
@@ -33,7 +32,6 @@ from .linalg import (
     UpdateSequence,
     as_vector,
     l1_norm,
-    select_coordinate,
     sigma,
     uniform_vector,
 )

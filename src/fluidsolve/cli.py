@@ -18,9 +18,9 @@ from x0 = e by default. For PI that is exactly power iteration on the
 materialized PageRank operator P. For GSl it is coordinate-level diffusion
 on d*Q from that f0, which is affine Gauss-Seidel started at x0; it is not
 the lockstep twin of Gauss-Seidel on P, which ``verify`` runs (see
-:func:`diffusion_form`). Reported "iterations" follow the vector-level
-count: coordinate-level traces are downsampled to every n-th update with
-losses summed over the window.
+:func:`fluidsolve.equivalence.diffusion_form`, re-exported here). Reported
+"iterations" follow the vector-level count: coordinate-level traces are
+downsampled to every n-th update with losses summed over the window.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
 3 non-convergence (or a failed verification) within the step budget.
@@ -29,7 +29,6 @@ Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -39,15 +38,9 @@ import numpy as np
 
 from .cases import BUILTIN_CASES, DEFAULT_DAMPING, CaseDefinition, load_case
 from .diffusion import DiffusionRun, StoppingRule, TraceRecord, aggregate_sweeps, run_diffusion
-from .equivalence import (
-    DiffusionEquivalent,
-    pagerank_decompose,
-    pagerank_matrix,
-    verify_equivalence,
-    write_reports_csv,
-)
-from .io import ParseError, read_matrix_market, read_vector, write_trace_csv
-from .linalg import SparseColumnMatrix, UpdateSequence, uniform_vector
+from .equivalence import DiffusionEquivalent, diffusion_form, pagerank_matrix, verify_equivalence
+from .io import ParseError, read_matrix_market, read_vector, write_csv, write_trace_csv
+from .linalg import UpdateSequence, uniform_vector
 from .schemes import SCHEME_KINDS, SchemeSpec
 
 __all__ = [
@@ -109,46 +102,6 @@ def make_sequence(spec: str, n: int) -> UpdateSequence:
     return UpdateSequence.explicit(n, [i - 1 for i in one_based])
 
 
-def diffusion_form(
-    q: SparseColumnMatrix,
-    d: float,
-    scheme: str,
-    seq: UpdateSequence | None = None,
-    b: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-) -> DiffusionEquivalent:
-    """Diffusion twin of ``scheme`` for the damped problem x = d Q x + (1-d) e.
-
-    Defaults follow the PageRank setup: b = (1-d) e for the affine schemes
-    and x0 = e for the linear ones. The linear schemes never materialize the
-    dense rank-one part; their form runs on d*Q with the constant folded
-    into the initial fluid f0 = d Q x0 + (1-d) e - x0.
-
-    For PI this is the exact twin of power iteration on
-    P = d*Q + (1-d)/n * ones, because every PI iterate keeps sigma(x) = 1.
-    For GSl it is coordinate-level diffusion on d*Q from that f0, that is
-    affine Gauss-Seidel (GSa with b = (1-d) e) started at x0 instead of 0:
-    on the built-in cases its iterates match ``step_gsa`` from e to 1e-15
-    in L1. It is not the lockstep twin of Gauss-Seidel on the materialized
-    P, which ``verify`` and acceptance criterion 8 run: a coordinate update
-    on P does not keep sigma(x) = 1, so that iteration converges to the same
-    fixed point only up to scale (sigma of its limit is 0.35 on case4, an
-    L1 gap of 0.65). The GSl traces of ``case``, ``custom`` and
-    ``cancel-report`` are this affine form.
-    """
-    if scheme not in SCHEME_KINDS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    n = q.n
-    if scheme in ("Jac", "GSa"):
-        f0 = b if b is not None else (1.0 - d) * uniform_vector(n)
-        mode = "vlu" if scheme == "Jac" else "clu"
-        return DiffusionEquivalent(q.scaled(d), f0, mode, seq if mode == "clu" else None, np.zeros(n))
-    equiv = pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n))
-    if scheme == "GSl":
-        equiv = dataclasses.replace(equiv, mode="clu", seq=seq)
-    return equiv
-
-
 @dataclass
 class SchemeTrace:
     """One scheme's run: raw diffusion run plus the downsampled CSV rows."""
@@ -172,10 +125,6 @@ class ExperimentResult:
     case: CaseDefinition
     traces: dict[str, SchemeTrace] = field(default_factory=dict)
     plot_path: Path | None = None
-
-    @property
-    def all_converged(self) -> bool:
-        return all(t.converged for t in self.traces.values())
 
 
 def _trace_scheme(case: CaseDefinition, scheme: str, cfg: RunConfig,
@@ -284,7 +233,8 @@ def run_verification(cfg: RunConfig, csv_path: Path | None = None):
             reports.append(report)
     if csv_path is not None:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_reports_csv(csv_path, reports)
+        write_csv(csv_path, "scheme,steps,max_discrepancy",
+                  [(r.scheme, r.steps, r.max_discrepancy) for r in reports])
     return reports
 
 
@@ -477,10 +427,7 @@ def main(argv=None) -> int:
             summary = cancellation_report(case, args.scheme, args.steps, seq_spec=args.seq)
             args.out.mkdir(parents=True, exist_ok=True)
             csv_path = args.out / f"{case.name}_{args.scheme}_cancellation.csv"
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("step,cancelled,contracted,fraction\n")
-                for step, cancelled, contracted, frac in summary.per_step:
-                    fh.write(f"{step},{cancelled!r},{contracted!r},{frac!r}\n")
+            write_csv(csv_path, "step,cancelled,contracted,fraction", summary.per_step)
             print(f"{case.name} {args.scheme}: cumulative cancellation fraction "
                   f"{summary.cumulative_fraction!r} over {summary.steps} steps")
             print(f"fraction at classical update 5: {summary.fraction_at_update(5)!r}")

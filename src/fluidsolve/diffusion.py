@@ -75,14 +75,10 @@ class MetricAccumulator:
     total_contracted: float = 0.0
     total_cancelled: float = 0.0
     per_step: list[TraceRecord] = field(default_factory=list)
-    # Distinct vector coordinates written by the most recent step; lets tests
-    # assert that one CLU step touches at most 1 + nnz(column) entries.
-    last_touched: int = 0
 
-    def record(self, step: int, residual_l1: float, cancelled: float, contracted: float, touched: int) -> None:
+    def record(self, step: int, residual_l1: float, cancelled: float, contracted: float) -> None:
         self.total_cancelled += cancelled
         self.total_contracted += contracted
-        self.last_touched = touched
         self.per_step.append(TraceRecord(step, residual_l1, cancelled, contracted))
 
 
@@ -139,7 +135,7 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
     state.step += 1
     fluid = float(f[i])
     if fluid == 0.0:
-        state.metrics.record(state.step, state._resid_l1, 0.0, 0.0, 0)
+        state.metrics.record(state.step, state._resid_l1, 0.0, 0.0)
         return state
 
     state.h[i] += fluid
@@ -159,8 +155,7 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
     sum_delta = float(abs_delta.sum())
     contracted = max(0.0, abs(fluid) - sum_delta)
     state._resid_l1 = max(0.0, state._resid_l1 - abs(fluid) + float(abs_new.sum()) - float(abs_old.sum()))
-    touched = int(rows.shape[0]) + (0 if m.has_diagonal_entry(i) else 1)
-    state.metrics.record(state.step, state._resid_l1, cancelled, contracted, touched)
+    state.metrics.record(state.step, state._resid_l1, cancelled, contracted)
     return state
 
 
@@ -186,7 +181,7 @@ def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionSta
     contracted = max(0.0, state._resid_l1 - delivered)
     state.f = new_f
     state._resid_l1 = new_l1
-    state.metrics.record(state.step, new_l1, cancelled, contracted, m.n)
+    state.metrics.record(state.step, new_l1, cancelled, contracted)
     return state
 
 

@@ -23,7 +23,8 @@ coordinate-level run of the decomposed form (the CLI's GSl trace) is affine
 Gauss-Seidel on (d*Q, (1-d)e) started at x0, not the twin of GSl on the
 materialized operator: a single coordinate update there changes sigma(x),
 so the two iterations differ in L1 and reach the fixed point only up to
-scale.
+scale. :func:`diffusion_form` is the one place that maps a scheme name and
+a damped problem to its diffusion form; the CLI builds every trace with it.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState, diffuse_coordinate, diffuse_vector
-from .io import format_float
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector, l1_norm, sigma, uniform_vector
 from .schemes import RowView, SchemeSpec, step_gsa, step_gsl, step_jacobi, step_pi
 
@@ -44,11 +44,11 @@ __all__ = [
     "DiffusionEquivalent",
     "EquivalenceReport",
     "to_diffusion",
+    "diffusion_form",
     "pagerank_decompose",
     "pagerank_matrix",
     "dense_solve_oracle",
     "verify_equivalence",
-    "write_reports_csv",
 ]
 
 # Dense LU is acceptable at desk scale only.
@@ -87,16 +87,20 @@ def to_diffusion(spec: SchemeSpec) -> DiffusionEquivalent:
     else:
         f0 = spec.b.copy()
         offset = np.zeros(p.n)
-    mode = "clu" if spec.coordinate_level else "vlu"
-    return DiffusionEquivalent(p, f0, mode, spec.seq, offset)
+    if spec.coordinate_level:
+        return DiffusionEquivalent(p, f0, "clu", spec.seq, offset)
+    return DiffusionEquivalent(p, f0, "vlu", None, offset)
 
 
-def pagerank_decompose(q: SparseColumnMatrix, d: float, x0) -> DiffusionEquivalent:
+def pagerank_decompose(q: SparseColumnMatrix, d: float, x0, mode: str = "vlu",
+                       seq: UpdateSequence | None = None) -> DiffusionEquivalent:
     """Diffusion form of power iteration on d*Q + (1-d)/n * ones, from x0.
 
     Requires sigma(x0) = 1; that is what lets the rank-one part collapse to
     the constant vector (1-d) e. Q should be column-stochastic; columns
     whose absolute sum strays from 1 (dangling nodes) only draw a warning.
+    ``mode="clu"`` with an update sequence gives the coordinate-level run of
+    the same form (see :func:`diffusion_form` for what that iteration is).
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"damping factor must lie in (0, 1), got {d}")
@@ -114,7 +118,46 @@ def pagerank_decompose(q: SparseColumnMatrix, d: float, x0) -> DiffusionEquivale
         )
     e = uniform_vector(q.n)
     f0 = d * q.matvec(x0) + (1.0 - d) * e - x0
-    return DiffusionEquivalent(q.scaled(d), f0, "vlu", None, x0.copy())
+    return DiffusionEquivalent(q.scaled(d), f0, mode, seq, x0.copy())
+
+
+def diffusion_form(
+    q: SparseColumnMatrix,
+    d: float,
+    scheme: str,
+    seq: UpdateSequence | None = None,
+    b: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
+) -> DiffusionEquivalent:
+    """Diffusion twin of ``scheme`` for the damped problem x = d Q x + (1-d) e.
+
+    Defaults follow the PageRank setup: b = (1-d) e for the affine schemes
+    and x0 = e for the linear ones. The linear schemes never materialize the
+    dense rank-one part; their form runs on d*Q with the constant folded
+    into the initial fluid f0 = d Q x0 + (1-d) e - x0.
+
+    For PI this is the exact twin of power iteration on
+    P = d*Q + (1-d)/n * ones, because every PI iterate keeps sigma(x) = 1.
+    For GSl it is coordinate-level diffusion on d*Q from that f0, that is
+    affine Gauss-Seidel (GSa with b = (1-d) e) started at x0 instead of 0:
+    on the built-in cases its iterates match ``step_gsa`` from e to 1e-15
+    in L1. It is not the lockstep twin of Gauss-Seidel on the materialized
+    P, which ``verify`` and acceptance criterion 8 run: a coordinate update
+    on P does not keep sigma(x) = 1, so that iteration converges to the same
+    fixed point only up to scale (sigma of its limit is 0.35 on case4, an
+    L1 gap of 0.65). The GSl traces of ``case``, ``custom`` and
+    ``cancel-report`` are this affine form.
+    """
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"damping factor must lie in (0, 1), got {d}")
+    n = q.n
+    if scheme in ("PI", "GSl"):
+        x0 = x0 if x0 is not None else uniform_vector(n)
+        if scheme == "PI":
+            return pagerank_decompose(q, d, x0)
+        return pagerank_decompose(q, d, x0, mode="clu", seq=seq)
+    b = b if b is not None else (1.0 - d) * uniform_vector(n)
+    return to_diffusion(SchemeSpec(scheme, q.scaled(d), b=b, seq=seq))
 
 
 def pagerank_matrix(q: SparseColumnMatrix, d: float) -> SparseColumnMatrix:
@@ -159,16 +202,6 @@ class EquivalenceReport:
     # Power iteration only: the closed forms F_n = x_{n+1} - x_n, H_n = x_n - x0.
     max_fluid_discrepancy: float | None = None
     max_history_discrepancy: float | None = None
-
-    def csv_row(self) -> str:
-        return f"{self.scheme},{self.steps},{format_float(self.max_discrepancy)}"
-
-
-def write_reports_csv(path, reports) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("scheme,steps,max_discrepancy\n")
-        for report in reports:
-            fh.write(report.csv_row() + "\n")
 
 
 def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:

@@ -2,13 +2,16 @@
 
 Matrices arrive as MatrixMarket coordinate files ("%%MatrixMarket matrix
 coordinate real general", 1-based indices); vectors as plain text, one real
-per line. Traces leave as CSV with full double precision.
+per line. Non-finite values (NaN, inf) are rejected at parse time. Every
+CSV the package writes goes through :func:`write_csv`, which renders floats
+with full double precision.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,6 +21,7 @@ __all__ = [
     "ParseError",
     "read_matrix_market",
     "read_vector",
+    "write_csv",
     "write_trace_csv",
     "format_float",
     "TRACE_HEADER",
@@ -90,6 +94,8 @@ def read_matrix_market(path) -> SparseColumnMatrix:
             value = float(parts[2])
         except ValueError:
             raise _fail(path, lineno, f"malformed entry {line!r}") from None
+        if not math.isfinite(value):
+            raise _fail(path, lineno, f"non-finite value {parts[2]!r}")
         if not 1 <= i <= n_rows or not 1 <= j <= n_cols:
             raise _fail(path, lineno, f"entry ({i}, {j}) outside 1..{n_rows}")
         if (i, j) in seen:
@@ -113,9 +119,12 @@ def read_vector(path) -> np.ndarray:
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise _fail(path, lineno, f"not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise _fail(path, lineno, f"non-finite value {text!r}")
+            values.append(value)
     if not values:
         raise _fail(path, 1, "empty vector file")
     return np.asarray(values, dtype=np.float64)
@@ -126,12 +135,19 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_trace_csv(path, records: Iterable) -> None:
-    """Write trace rows as 'step,residual_l1,cancelled,contracted' CSV."""
+def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then one comma-separated line per row.
+
+    Floats are rendered by :func:`format_float`, every other field by ``str``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in records:
+        fh.write(header + "\n")
+        for row in rows:
             fh.write(
-                f"{rec.step},{format_float(rec.residual_l1)},"
-                f"{format_float(rec.cancelled)},{format_float(rec.contracted)}\n"
+                ",".join(format_float(x) if isinstance(x, float) else str(x) for x in row) + "\n"
             )
+
+
+def write_trace_csv(path, records: Sequence) -> None:
+    """Write trace rows as 'step,residual_l1,cancelled,contracted' CSV."""
+    write_csv(path, TRACE_HEADER, records)

@@ -13,7 +13,7 @@ internal locking anywhere.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "l1_norm",
     "sigma",
     "uniform_vector",
-    "select_coordinate",
 ]
 
 
@@ -55,21 +54,6 @@ def uniform_vector(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def select_coordinate(v, i: int) -> np.ndarray:
-    """Vector equal to ``v`` at coordinate ``i`` and zero elsewhere.
-
-    This is the coordinate-selection operator used by single-coordinate
-    updates; it is always realized through an index, never as a stored
-    n-by-n matrix.
-    """
-    v = as_vector(v)
-    if not 0 <= i < v.shape[0]:
-        raise ValueError(f"coordinate {i} out of range for dimension {v.shape[0]}")
-    out = np.zeros_like(v)
-    out[i] = v[i]
-    return out
-
-
 class SparseColumnMatrix:
     """Square real matrix stored by columns (compressed sparse column layout).
 
@@ -82,7 +66,7 @@ class SparseColumnMatrix:
     All arithmetic is 64-bit floating point.
     """
 
-    __slots__ = ("n", "indptr", "rows", "vals", "cols", "_col_l1", "_has_diag")
+    __slots__ = ("n", "indptr", "rows", "vals", "cols", "_col_l1")
 
     def __init__(self, n: int, indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray):
         self.n = int(n)
@@ -91,12 +75,7 @@ class SparseColumnMatrix:
         self.vals = vals
         # Flat column index of every stored entry (entries are column-sorted).
         self.cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        # Per-column absolute sums, one pass over each column at build time.
-        self._col_l1 = np.array(
-            [float(np.abs(vals[indptr[j]:indptr[j + 1]]).sum()) for j in range(self.n)]
-        )
-        self._has_diag = np.zeros(self.n, dtype=bool)
-        self._has_diag[rows[rows == self.cols]] = True
+        self._col_l1 = np.bincount(self.cols, weights=np.abs(vals), minlength=self.n)
 
     @classmethod
     def from_entries(
@@ -104,41 +83,34 @@ class SparseColumnMatrix:
     ) -> "SparseColumnMatrix":
         """Build from (row, col, value) triplets with 0-based indices.
 
-        Zero values are dropped; a duplicated (row, col) position is an error.
+        ``entries`` may also be a (k, 3) array. Zero values are dropped; a
+        non-finite value or a duplicated (row, col) position is an error.
         """
         if n <= 0:
             raise ValueError("dimension must be positive")
-        rr: list[int] = []
-        cc: list[int] = []
-        vv: list[float] = []
-        for i, j, v in entries:
-            i = int(i)
-            j = int(j)
-            v = float(v)
-            if not 0 <= i < n or not 0 <= j < n:
-                raise ValueError(f"entry ({i}, {j}) outside the {n}x{n} matrix")
-            if v == 0.0:
-                continue
-            rr.append(i)
-            cc.append(j)
-            vv.append(v)
-        if rr:
-            r = np.asarray(rr, dtype=np.int64)
-            c = np.asarray(cc, dtype=np.int64)
-            v = np.asarray(vv, dtype=np.float64)
-            order = np.lexsort((r, c))
-            r, c, v = r[order], c[order], v[order]
-            dup = (np.diff(c) == 0) & (np.diff(r) == 0)
-            if dup.any():
-                k = int(np.flatnonzero(dup)[0])
-                raise ValueError(f"duplicate entry at (row {r[k]}, col {c[k]})")
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, c + 1, 1)
-            indptr = np.cumsum(indptr)
-        else:
-            r = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.float64)
-            indptr = np.zeros(n + 1, dtype=np.int64)
+        if not isinstance(entries, np.ndarray):
+            entries = list(entries)
+        t = np.asarray(entries, dtype=np.float64).reshape(-1, 3)
+        bad = np.flatnonzero(~np.isfinite(t).all(axis=1))
+        if bad.size:
+            i, j, v = t[bad[0]]
+            raise ValueError(f"non-finite entry {v} at ({i:g}, {j:g})")
+        r = t[:, 0].astype(np.int64)
+        c = t[:, 1].astype(np.int64)
+        v = t[:, 2]
+        bad = np.flatnonzero((r < 0) | (r >= n) | (c < 0) | (c >= n))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"entry ({r[k]}, {c[k]}) outside the {n}x{n} matrix")
+        keep = v != 0.0
+        r, c, v = r[keep], c[keep], v[keep]
+        order = np.lexsort((r, c))
+        r, c, v = r[order], c[order], v[order]
+        dup = (np.diff(c) == 0) & (np.diff(r) == 0)
+        if dup.any():
+            k = int(np.flatnonzero(dup)[0])
+            raise ValueError(f"duplicate entry at (row {r[k]}, col {c[k]})")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=n))))
         return cls(n, indptr, r, v)
 
     @classmethod
@@ -146,9 +118,8 @@ class SparseColumnMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
-        n = a.shape[0]
-        entries = [(i, j, a[i, j]) for j in range(n) for i in range(n) if a[i, j] != 0.0]
-        return cls.from_entries(n, entries)
+        i, j = np.nonzero(a)
+        return cls.from_entries(a.shape[0], np.column_stack((i, j, a[i, j])))
 
     @classmethod
     def identity(cls, n: int) -> "SparseColumnMatrix":
@@ -174,12 +145,6 @@ class SparseColumnMatrix:
             raise ValueError(f"column {j} out of range for dimension {self.n}")
         return int(self.indptr[j + 1] - self.indptr[j])
 
-    def col_l1(self, j: int) -> float:
-        """Absolute sum of column ``j``."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"column {j} out of range for dimension {self.n}")
-        return float(self._col_l1[j])
-
     def column_l1_norms(self) -> np.ndarray:
         """All column absolute sums (copy)."""
         return self._col_l1.copy()
@@ -189,21 +154,6 @@ class SparseColumnMatrix:
         v = as_vector(v, self.n)
         per_entry = self.vals * v[self.cols]
         return np.bincount(self.rows, weights=per_entry, minlength=self.n)
-
-    def has_diagonal_entry(self, j: int) -> bool:
-        if not 0 <= j < self.n:
-            raise ValueError(f"column {j} out of range for dimension {self.n}")
-        return bool(self._has_diag[j])
-
-    def add_scaled_column(self, dest: np.ndarray, j: int, scale: float) -> np.ndarray:
-        """In place: dest += scale * column j. Touches only nnz(column j) entries."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"column {j} out of range for dimension {self.n}")
-        dest = as_vector(dest, self.n)
-        if scale != 0.0:
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            dest[self.rows[lo:hi]] += scale * self.vals[lo:hi]
-        return dest
 
     def scaled(self, factor: float) -> "SparseColumnMatrix":
         """New matrix with every stored value multiplied by ``factor``."""
@@ -215,9 +165,7 @@ class SparseColumnMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            out[self.rows[lo:hi], j] = self.vals[lo:hi]
+        out[self.rows, self.cols] = self.vals
         return out
 
     def __repr__(self) -> str:
@@ -230,25 +178,17 @@ class UpdateSequence:
     Fairness means every coordinate appears infinitely often. Round-robin
     sequences are fair by construction; explicit lists are replayed
     cyclically and must mention every coordinate at least once (rejected at
-    construction otherwise); custom generators carry the fairness contract
-    themselves, only the index range is checked.
+    construction otherwise).
     """
 
-    __slots__ = ("kind", "n", "_indices", "_factory")
+    __slots__ = ("kind", "n", "_indices")
 
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        indices: tuple[int, ...] | None = None,
-        factory: Callable[[], Iterable[int]] | None = None,
-    ):
+    def __init__(self, kind: str, n: int, indices: tuple[int, ...] | None = None):
         if n <= 0:
             raise ValueError("dimension must be positive")
         self.kind = kind
         self.n = int(n)
         self._indices = indices
-        self._factory = factory
 
     @classmethod
     def round_robin(cls, n: int) -> "UpdateSequence":
@@ -269,32 +209,11 @@ class UpdateSequence:
             )
         return cls("explicit_list", n, indices=idx)
 
-    @classmethod
-    def custom(cls, n: int, factory: Callable[[], Iterable[int]]) -> "UpdateSequence":
-        """Wrap a generator factory; restarted when exhausted (cyclic replay)."""
-        return cls("custom_generator", n, factory=factory)
-
     def iter_indices(self) -> Iterator[int]:
         """Fresh infinite iterator over the sequence."""
         if self.kind == "round_robin":
             return itertools.cycle(range(self.n))
-        if self.kind == "explicit_list":
-            assert self._indices is not None
-            return itertools.cycle(self._indices)
-        return self._iter_custom()
-
-    def _iter_custom(self) -> Iterator[int]:
-        assert self._factory is not None
-        while True:
-            produced = False
-            for i in self._factory():
-                i = int(i)
-                if not 0 <= i < self.n:
-                    raise ValueError(f"index {i} out of range for dimension {self.n}")
-                produced = True
-                yield i
-            if not produced:
-                raise ValueError("custom sequence produced no indices")
+        return itertools.cycle(self._indices)
 
     def take(self, k: int) -> list[int]:
         """First ``k`` indices of a fresh iteration."""

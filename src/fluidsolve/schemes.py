@@ -45,9 +45,8 @@ class RowView:
 
     def __init__(self, m: SparseColumnMatrix):
         self.n = m.n
-        col_of_entry = np.repeat(np.arange(m.n, dtype=np.int64), np.diff(m.indptr))
         order = np.argsort(m.rows, kind="stable")
-        self.cols = col_of_entry[order]
+        self.cols = m.cols[order]
         self.vals = m.vals[order]
         counts = np.bincount(m.rows, minlength=m.n)
         self.indptr = np.concatenate(([0], np.cumsum(counts)))

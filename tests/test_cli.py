@@ -241,6 +241,46 @@ class TestMainExitCodes:
         assert (tmp_path / "case4_PI_cancellation.csv").exists()
         assert "fraction at classical update 5" in capsys.readouterr().out
 
+    def test_cancel_report_csv_round_trips(self, tmp_path):
+        code = main(["cancel-report", "case4", "--scheme", "PI", "--steps", "10",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        lines = (tmp_path / "case4_PI_cancellation.csv").read_text().splitlines()
+        assert lines[0] == "step,cancelled,contracted,fraction"
+        assert lines[1] == "1,0,0.050490000000000035,0"
+        summary = cancellation_report(load_case("case4"), "PI", 10)
+        assert len(lines) == 1 + len(summary.per_step)
+        for line, (step, cancelled, contracted, frac) in zip(lines[1:], summary.per_step):
+            fields = line.split(",")
+            assert int(fields[0]) == step
+            assert float(fields[1]) == cancelled and float(fields[2]) == contracted
+            assert float(fields[3]) == frac or (math.isnan(frac) and fields[3] == "nan")
+
+    @pytest.mark.parametrize("d", ["1.5", "-1", "0", "1"])
+    @pytest.mark.parametrize("scheme", ["PI", "GSl", "Jac", "GSa"])
+    def test_damping_checked_for_every_scheme(self, tmp_path, capsys, scheme, d):
+        mm = tmp_path / "m.mtx"
+        mm.write_text(CASE1_MM)
+        code = main(["custom", "--matrix", str(mm), "--schemes", scheme, f"--d={d}",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "damping factor must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_non_finite_input_exits_2(self, tmp_path, capsys):
+        mm = tmp_path / "nan.mtx"
+        mm.write_text(CASE1_MM.replace("2 5 0.5", "2 5 nan"))
+        code = main(["custom", "--matrix", str(mm), "--schemes", "GSl,GSa", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "non-finite value 'nan'" in capsys.readouterr().err
+        ok = tmp_path / "ok.mtx"
+        ok.write_text(CASE1_MM)
+        b = tmp_path / "b.txt"
+        b.write_text("0.03\n0.03\ninf\n0.03\n0.03\n")
+        code = main(["custom", "--matrix", str(ok), "--b", str(b), "--schemes", "GSa",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "b.txt:3: non-finite value 'inf'" in capsys.readouterr().err
+
     def test_custom_subcommand_end_to_end(self, tmp_path):
         mm = tmp_path / "m.mtx"
         mm.write_text(CASE1_MM)

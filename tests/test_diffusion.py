@@ -88,15 +88,6 @@ class TestCoordinateStep:
         with pytest.raises(ValueError, match="dimension"):
             diffuse_coordinate(state, case1_damped, 0)
 
-    def test_touch_count_bounded_by_column_nnz(self):
-        rng = np.random.default_rng(11)
-        m, _ = random_substochastic(rng, 8)
-        state = DiffusionState.start(random_signed_vector(rng, 8))
-        seq = UpdateSequence.round_robin(8)
-        for i in seq.take(32):
-            diffuse_coordinate(state, m, i)
-            assert state.metrics.last_touched <= 1 + m.col_nnz(i)
-
 
 class TestVectorStep:
     def test_case1_jacobi_contracts_by_d(self, case1_damped):

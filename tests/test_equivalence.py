@@ -5,18 +5,19 @@ from fluidsolve import (
     BUILTIN_CASES,
     SchemeSpec,
     SparseColumnMatrix,
+    StoppingRule,
     UpdateSequence,
     dense_solve_oracle,
     l1_norm,
     load_case,
     pagerank_decompose,
     pagerank_matrix,
+    run_diffusion,
     sigma,
     step_pi,
     to_diffusion,
     uniform_vector,
     verify_equivalence,
-    write_reports_csv,
 )
 from helpers import random_signed_vector, random_substochastic
 
@@ -60,6 +61,18 @@ class TestToDiffusion:
         eq = to_diffusion(SchemeSpec("GSa", m, b=b, seq=seq))
         assert eq.mode == "clu"
         np.testing.assert_array_equal(eq.f0, b)
+
+    @pytest.mark.parametrize("kind", ["PI", "Jac"])
+    def test_vector_level_form_drops_the_sequence(self, kind, case1):
+        m = case1.q.scaled(case1.d)
+        e = uniform_vector(5)
+        seq = UpdateSequence.round_robin(5)
+        spec = SchemeSpec(kind, m, x0=e, seq=seq) if kind == "PI" else SchemeSpec(kind, m, b=e, seq=seq)
+        eq = to_diffusion(spec)
+        assert eq.mode == "vlu" and eq.seq is None
+        run = run_diffusion(eq.matrix, eq.f0, mode=eq.mode, seq=eq.seq,
+                            stop=StoppingRule(tol=None, max_steps=3))
+        assert run.steps == 3
 
     def test_fixed_point_start_gives_zero_fluid(self, case1, p_full):
         x_star = dense_solve_oracle(case1.q.scaled(case1.d), 0.15 * uniform_vector(5))
@@ -187,14 +200,6 @@ class TestVerifyEquivalence:
                                   seq=seq if kind == "GSa" else None)
             report = verify_equivalence(spec, 10 * n)
             assert report.max_discrepancy <= 1e-10
-
-    def test_report_csv(self, tmp_path, p_full):
-        report = verify_equivalence(SchemeSpec("PI", p_full, x0=uniform_vector(5)), 5)
-        path = tmp_path / "reports.csv"
-        write_reports_csv(path, [report])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "scheme,steps,max_discrepancy"
-        assert lines[1].startswith("PI,5,")
 
 
 def test_fixed_point_agreement_across_schemes():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fluidsolve import (
     read_vector,
     write_trace_csv,
 )
+from fluidsolve.io import write_csv
 
 CASE1_MM = """%%MatrixMarket matrix coordinate real general
 % five-node cycle with a split at node 5
@@ -88,6 +91,15 @@ class TestMatrixMarket:
         with pytest.raises(ParseError, match=r":3: malformed entry"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "nan.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 1 {value}\n"
+        )
+        with pytest.raises(ParseError, match=rf"nan.mtx:4: non-finite value '{value}'"):
+            read_matrix_market(path)
+
 
 class TestVectorFile:
     def test_reads_one_real_per_line(self, tmp_path):
@@ -107,6 +119,13 @@ class TestVectorFile:
         with pytest.raises(ParseError, match="empty vector file"):
             read_vector(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "v.txt"
+        path.write_text(f"1.0\n\n{value}\n")
+        with pytest.raises(ParseError, match=rf"v.txt:3: non-finite value '{value}'"):
+            read_vector(path)
+
 
 class TestTraceCsv:
     def test_header_and_full_precision(self, tmp_path):
@@ -122,6 +141,16 @@ class TestTraceCsv:
         fields = lines[2].split(",")
         assert fields[0] == "1"
         assert float(fields[2]) == 1.0 / 3.0  # 17 significant digits round-trip
+
+    def test_write_csv_formats_by_type(self, tmp_path):
+        path = tmp_path / "reports.csv"
+        write_csv(path, "scheme,steps,max_discrepancy,fraction",
+                  [("PI", 5, 0.1, math.nan), ("case1/GSa", 12, 1.0 / 3.0, 0.0)])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "scheme,steps,max_discrepancy,fraction"
+        assert lines[1] == "PI,5,0.10000000000000001,nan"
+        assert lines[2] == f"case1/GSa,12,{format_float(1.0 / 3.0)},0"
+        assert len(lines) == 3
 
     def test_format_float_round_trips(self):
         for x in [0.1, 1.0 / 3.0, 1e-300, 123456.789, 0.0]:

@@ -8,7 +8,6 @@ from fluidsolve import (
     UpdateSequence,
     l1_norm,
     load_case,
-    select_coordinate,
     sigma,
     uniform_vector,
 )
@@ -70,39 +69,6 @@ class TestSparseColumnMatrix:
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m.matvec(u), dense_matvec(m.to_dense(), u), rtol=0, atol=1e-12)
 
-    def test_add_scaled_column_case1(self):
-        q = load_case("case1").q
-        dest = np.zeros(5)
-        q.add_scaled_column(dest, 0, 0.5)
-        np.testing.assert_array_equal(dest, [0.0, 0.5, 0.0, 0.0, 0.0])
-
-    def test_add_scaled_column_zero_scale(self):
-        q = load_case("case1").q
-        dest = np.arange(5.0)
-        q.add_scaled_column(dest, 0, 0.0)
-        np.testing.assert_array_equal(dest, np.arange(5.0))
-
-    def test_add_scaled_column_empty_column(self):
-        m = SparseColumnMatrix.from_entries(3, [(0, 0, 1.0)])
-        dest = np.ones(3)
-        m.add_scaled_column(dest, 2, 4.0)
-        np.testing.assert_array_equal(dest, np.ones(3))
-
-    def test_add_scaled_column_out_of_range(self):
-        with pytest.raises(ValueError, match="column 5"):
-            SparseColumnMatrix.identity(3).add_scaled_column(np.zeros(3), 5, 1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(matrix_and_vectors(), st.floats(-3.0, 3.0, allow_nan=False), st.data())
-    def test_add_scaled_column_matches_matvec_of_unit_vector(self, data, scale, extra):
-        m, _ = data
-        j = extra.draw(st.integers(0, m.n - 1))
-        dest = np.zeros(m.n)
-        m.add_scaled_column(dest, j, scale)
-        unit = np.zeros(m.n)
-        unit[j] = scale
-        np.testing.assert_allclose(dest, m.matvec(unit), rtol=0, atol=1e-12)
-
     def test_construction_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             SparseColumnMatrix.from_entries(2, [(2, 0, 1.0)])
@@ -111,6 +77,32 @@ class TestSparseColumnMatrix:
         with pytest.raises(ValueError, match="duplicate"):
             SparseColumnMatrix.from_entries(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_construction_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            SparseColumnMatrix.from_entries(2, [(0, 0, 1.0), (1, 0, bad)])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            SparseColumnMatrix.from_dense([[1.0, 0.0], [bad, 0.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_and_vectors(), st.randoms(use_true_random=False))
+    def test_build_matches_entry_loop(self, data, rnd):
+        # The loop form is the reference for the vectorized build and dense round trip.
+        m, _ = data
+        dense = np.zeros((m.n, m.n))
+        for j in range(m.n):
+            for k in range(m.indptr[j], m.indptr[j + 1]):
+                dense[m.rows[k], j] = m.vals[k]
+        np.testing.assert_array_equal(m.to_dense(), dense)
+        np.testing.assert_array_equal(m.column_l1_norms(), np.abs(dense).sum(axis=0))
+        entries = [(i, j, dense[i, j]) for i in range(m.n) for j in range(m.n)]
+        rnd.shuffle(entries)
+        for rebuilt in (SparseColumnMatrix.from_dense(dense),
+                        SparseColumnMatrix.from_entries(m.n, entries)):
+            np.testing.assert_array_equal(rebuilt.indptr, m.indptr)
+            np.testing.assert_array_equal(rebuilt.rows, m.rows)
+            np.testing.assert_array_equal(rebuilt.vals, m.vals)
+
     def test_construction_drops_stored_zeros(self):
         m = SparseColumnMatrix.from_entries(3, [(0, 0, 0.0), (1, 0, 2.0)])
         assert m.nnz == 1
@@ -118,7 +110,7 @@ class TestSparseColumnMatrix:
 
     def test_col_l1_and_column(self):
         q = load_case("case1").q
-        assert q.col_l1(4) == 1.0
+        assert q.column_l1_norms()[4] == 1.0
         rows, vals = q.column(4)
         np.testing.assert_array_equal(rows, [0, 1])
         np.testing.assert_array_equal(vals, [0.5, 0.5])
@@ -152,13 +144,6 @@ class TestVectorHelpers:
         v = np.array(values)
         assert l1_norm(v) >= abs(sigma(v)) - 1e-9 * l1_norm(v)
 
-    def test_select_coordinate(self):
-        v = np.array([3.0, -1.0, 2.0])
-        s = select_coordinate(v, 1)
-        np.testing.assert_array_equal(s, [0.0, -1.0, 0.0])
-        with pytest.raises(ValueError):
-            select_coordinate(v, 3)
-
 
 class TestUpdateSequence:
     def test_round_robin_first_indices(self):
@@ -187,16 +172,6 @@ class TestUpdateSequence:
     def test_iter_indices_is_restartable(self):
         seq = UpdateSequence.explicit(3, [1, 0, 2])
         assert seq.take(3) == seq.take(3)
-
-    def test_custom_generator_cycles_and_validates(self):
-        seq = UpdateSequence.custom(3, lambda: iter([0, 1, 2]))
-        assert seq.take(5) == [0, 1, 2, 0, 1]
-        bad = UpdateSequence.custom(2, lambda: iter([5]))
-        with pytest.raises(ValueError, match="out of range"):
-            bad.take(1)
-        empty = UpdateSequence.custom(2, lambda: iter([]))
-        with pytest.raises(ValueError, match="no indices"):
-            empty.take(1)
 
 
 def test_random_instance_helper_is_substochastic():

@@ -19,11 +19,13 @@ materialized PageRank operator P. For GSl it is coordinate-level diffusion
 on d*Q from that f0, which is affine Gauss-Seidel started at x0; it is not
 the lockstep twin of Gauss-Seidel on P, which ``verify`` runs (see
 :func:`fluidsolve.equivalence.diffusion_form`, re-exported here). Reported
-"iterations" follow the vector-level count: coordinate-level traces are
-downsampled to every n-th update with losses summed over the window.
+"iterations" follow the vector-level count: coordinate-level runs keep one
+trace row per n updates (or per ``--sample-every`` updates) with losses
+summed over the window.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
-3 non-convergence (or a failed verification) within the step budget.
+3 non-convergence within the step budget, a non-finite iterate (l1(F)
+overflowed to inf or became NaN), or a failed verification.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .cases import BUILTIN_CASES, DEFAULT_DAMPING, CaseDefinition, load_case
-from .diffusion import DiffusionRun, StoppingRule, TraceRecord, aggregate_sweeps, run_diffusion
+from .diffusion import DiffusionRun, StoppingRule, run_diffusion
 from .equivalence import DiffusionEquivalent, diffusion_form, pagerank_matrix, verify_equivalence
 from .io import ParseError, read_matrix_market, read_vector, write_csv, write_trace_csv
 from .linalg import UpdateSequence, uniform_vector
@@ -104,12 +106,11 @@ def make_sequence(spec: str, n: int) -> UpdateSequence:
 
 @dataclass
 class SchemeTrace:
-    """One scheme's run: raw diffusion run plus the downsampled CSV rows."""
+    """One scheme's run; ``run.trace`` holds its CSV rows."""
 
     scheme: str
     equivalent: DiffusionEquivalent
     run: DiffusionRun
-    rows: list[TraceRecord]
     csv_path: Path | None = None
 
     @property
@@ -134,9 +135,9 @@ def _trace_scheme(case: CaseDefinition, scheme: str, cfg: RunConfig,
     equiv = diffusion_form(case.q, case.d, scheme, seq=seq, b=b, x0=x0)
     clu = equiv.mode == "clu"
     stop = StoppingRule(tol=cfg.tol, max_steps=cfg.iterations * (n if clu else 1))
-    run = run_diffusion(equiv.matrix, equiv.f0, mode=equiv.mode, seq=equiv.seq, stop=stop)
-    rows = aggregate_sweeps(run.trace, cfg.sample_every or n) if clu else list(run.trace)
-    return SchemeTrace(scheme=scheme, equivalent=equiv, run=run, rows=rows)
+    run = run_diffusion(equiv.matrix, equiv.f0, mode=equiv.mode, seq=equiv.seq, stop=stop,
+                        every=(cfg.sample_every or n) if clu else 1)
+    return SchemeTrace(scheme=scheme, equivalent=equiv, run=run)
 
 
 def _write_plot_script(path: Path, stem: str, schemes: tuple[str, ...]) -> None:
@@ -173,7 +174,7 @@ def run_experiment(case: CaseDefinition, cfg: RunConfig,
     for scheme in cfg.schemes:
         trace = _trace_scheme(case, scheme, cfg, b=b, x0=x0)
         trace.csv_path = cfg.output_dir / f"{case.name}_{scheme}.csv"
-        write_trace_csv(trace.csv_path, trace.rows)
+        write_trace_csv(trace.csv_path, trace.run.trace)
         out.traces[scheme] = trace
     out.plot_path = cfg.output_dir / f"{case.name}_plot.gp"
     _write_plot_script(out.plot_path, case.name, cfg.schemes)
@@ -385,10 +386,10 @@ def _config_from_args(args) -> RunConfig:
 def _report_experiment(result: ExperimentResult) -> int:
     worst = EXIT_OK
     for scheme, trace in result.traces.items():
-        status = "converged" if trace.converged else "NOT CONVERGED"
+        status = "converged" if trace.converged else f"NOT CONVERGED ({trace.run.status})"
         print(
             f"{result.case.name} {scheme:>3}: {status} after {trace.run.steps} steps, "
-            f"residual {trace.run.trace[-1].residual_l1:.3e} -> {trace.csv_path}"
+            f"residual {trace.run.state.residual_l1():.3e} -> {trace.csv_path}"
         )
         if not trace.converged:
             worst = EXIT_NOT_CONVERGED

@@ -33,12 +33,20 @@ Each step also splits the L1 mass that left F into two causes:
   incoming contributions against the absolute value of their sum, so
   source-vs-source overlap counts as cancellation too.
 
+:func:`diffuse_coordinate` and :func:`diffuse_vector` are the per-step
+engine, the reference for everything else. :func:`run_diffusion` drives
+vector-level runs through :func:`diffuse_vector` and coordinate-level runs
+through a scalar loop that reproduces :func:`diffuse_coordinate` bitwise in
+F and H, keeping one trace row per window of steps.
+
 The engine is thread-compatible, not thread-safe: a DiffusionState is owned
 by one driver, while independent runs may share read-only matrices freely.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,7 +78,7 @@ class TraceRecord(NamedTuple):
 
 @dataclass
 class MetricAccumulator:
-    """Running totals of the two loss channels plus the per-step trace."""
+    """Running totals of the two loss channels plus the trace rows."""
 
     total_contracted: float = 0.0
     total_cancelled: float = 0.0
@@ -86,8 +94,8 @@ class DiffusionState:
     """Paired fluid vectors (F, H) with a step counter and metric accumulators.
 
     Trace rows carry an incrementally tracked residual L1 (cheap and exact in
-    real arithmetic, assuming only the step functions mutate F);
-    :meth:`residual_l1` always recomputes from scratch.
+    real arithmetic, assuming only the step functions mutate F, but it drifts
+    by roundoff); :meth:`residual_l1` always recomputes from scratch.
     """
 
     __slots__ = ("f", "h", "f0", "step", "metrics", "_resid_l1")
@@ -154,7 +162,8 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
     cancelled = float(np.maximum(abs_old + abs_delta - abs_new, 0.0).sum())
     sum_delta = float(abs_delta.sum())
     contracted = max(0.0, abs(fluid) - sum_delta)
-    state._resid_l1 = max(0.0, state._resid_l1 - abs(fluid) + float(abs_new.sum()) - float(abs_old.sum()))
+    resid = state._resid_l1 - abs(fluid) + float(abs_new.sum()) - float(abs_old.sum())
+    state._resid_l1 = 0.0 if resid < 0.0 else resid  # not max(0.0, .): that maps NaN to 0
     state.metrics.record(state.step, state._resid_l1, cancelled, contracted)
     return state
 
@@ -204,10 +213,19 @@ class StoppingRule:
 
 @dataclass
 class DiffusionRun:
-    """Final state of a driven diffusion plus a convergence flag."""
+    """Final state of a driven diffusion plus how the run ended.
+
+    ``status`` is "converged" (the recomputed l1(F) is at or below tol),
+    "budget" (max_steps ran out first) or "non_finite" (l1(F) overflowed to
+    inf or became NaN).
+    """
 
     state: DiffusionState
-    converged: bool
+    status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
     @property
     def trace(self) -> list[TraceRecord]:
@@ -218,45 +236,124 @@ class DiffusionRun:
         return self.state.step
 
 
+def _status(residual: float, tol: float | None) -> str:
+    """Status implied by an exact l1(F): "budget" means keep going."""
+    if not math.isfinite(residual):
+        return "non_finite"
+    if tol is not None and residual <= tol:
+        return "converged"
+    return "budget"
+
+
 def run_diffusion(
     m: SparseColumnMatrix,
     f0,
     mode: str = "vlu",
     seq: UpdateSequence | None = None,
     stop: StoppingRule | None = None,
+    every: int = 1,
 ) -> DiffusionRun:
     """Drive coordinate-level ("clu") or vector-level ("vlu") diffusion.
 
-    Never raises on non-convergence: when max_steps runs out first, the run
-    comes back with ``converged=False``.
+    A coordinate-level run keeps one trace row per ``every`` steps, the rows
+    ``aggregate_sweeps`` would make of its per-step trace; vector-level runs
+    keep every step. Never raises on non-convergence or overflow: the run
+    comes back with ``status`` "budget" or "non_finite".
     """
     if mode not in ("vlu", "clu"):
         raise ValueError(f"mode must be 'vlu' or 'clu', got {mode!r}")
+    if every < 1:
+        raise ValueError("every must be positive")
     if mode == "clu":
         if seq is None:
             raise ValueError("coordinate-level runs need an update sequence")
         if seq.n != m.n:
             raise ValueError(f"sequence dimension {seq.n} != matrix dimension {m.n}")
-    elif seq is not None:
-        raise ValueError("vector-level runs take no update sequence")
+    else:
+        if seq is not None:
+            raise ValueError("vector-level runs take no update sequence")
+        if every != 1:
+            raise ValueError("vector-level runs record every step")
     stop = stop or StoppingRule()
 
     state = DiffusionState.start(as_vector(f0, m.n))
-    residual = state.trace[-1].residual_l1
-    if stop.tol is not None and residual <= stop.tol:
-        return DiffusionRun(state, True)
-
-    indices = seq.iter_indices() if mode == "clu" else None
-    converged = False
+    status = _status(state.residual_l1(), stop.tol)
+    if status != "budget":
+        return DiffusionRun(state, status)
+    if mode == "clu":
+        return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
     while state.step < stop.max_steps:
-        if mode == "clu":
-            diffuse_coordinate(state, m, next(indices))
-        else:
-            diffuse_vector(state, m)
-        if stop.tol is not None and state.trace[-1].residual_l1 <= stop.tol:
-            converged = True
+        diffuse_vector(state, m)
+        status = _status(state._resid_l1, stop.tol)
+        if status != "budget":
             break
-    return DiffusionRun(state, converged)
+    return DiffusionRun(state, status)
+
+
+def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
+             stop: StoppingRule, every: int) -> str:
+    """Coordinate-level steps on Python floats; mutates ``state``, returns the status.
+
+    F and H are copied to lists and the matrix to per-column (row, value)
+    tuples, once per run. Each step performs the IEEE operations of
+    :func:`diffuse_coordinate` entry by entry, so F and H end bitwise equal
+    to that many calls. The per-step sums (cancelled, contracted) add
+    entries in column order, where numpy adds 8 or more pairwise, so they
+    may differ in the last bits. The running residual follows
+    l1(F) - |fl| + sum|delta| - cancelled, the engine's update in exact
+    arithmetic; it is replaced by the exact ``np.abs(F).sum()`` every n
+    steps and whenever it reaches tol, and only an exact value ends the run.
+    """
+    n = m.n
+    stop_at = -1.0 if stop.tol is None else stop.tol
+    f, h = state.f.tolist(), state.h.tolist()
+    rows, vals = m.rows.tolist(), m.vals.tolist()
+    bounds = m.indptr.tolist()
+    columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    metrics = state.metrics
+    trace = metrics.per_step
+    total_c, total_k = metrics.total_cancelled, metrics.total_contracted
+    win_c = win_k = 0.0
+    resid = state._resid_l1
+    status = "budget"
+    step = state.step
+    for i in itertools.islice(seq.iter_indices(), max(0, stop.max_steps - step)):
+        step += 1
+        fl = f[i]
+        if fl != 0.0:
+            h[i] += fl
+            f[i] = 0.0
+            cancelled = sum_delta = 0.0
+            for r, v in columns[i]:
+                old = f[r]
+                delta = fl * v
+                new = old + delta
+                f[r] = new
+                abs_delta = abs(delta)
+                sum_delta += abs_delta
+                # rounding is monotone, so this overlap is never negative
+                cancelled += abs(old) + abs_delta - abs(new)
+            abs_fl = abs(fl)
+            contracted = max(0.0, abs_fl - sum_delta)
+            resid = resid - abs_fl + sum_delta - cancelled
+            if resid < 0.0:  # a NaN stays NaN for the exact check to catch
+                resid = 0.0
+            total_c += cancelled
+            total_k += contracted
+            win_c += cancelled
+            win_k += contracted
+        if resid <= stop_at or step % n == 0:
+            resid = float(np.abs(np.array(f)).sum())
+            status = _status(resid, stop.tol)
+        if step % every == 0:
+            trace.append(TraceRecord(step // every, resid, win_c, win_k))
+            win_c = win_k = 0.0
+        if status != "budget":
+            break
+    state.f, state.h = np.array(f), np.array(h)
+    state.step, state._resid_l1 = step, resid
+    metrics.total_cancelled, metrics.total_contracted = total_c, total_k
+    return status
 
 
 def aggregate_sweeps(trace: list[TraceRecord], every: int) -> list[TraceRecord]:

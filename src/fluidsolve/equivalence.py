@@ -113,7 +113,7 @@ def pagerank_decompose(q: SparseColumnMatrix, d: float, x0, mode: str = "vlu",
         worst = int(np.argmax(off))
         warnings.warn(
             f"matrix is not column-stochastic: column {worst} has L1 norm "
-            f"{col_norms[worst]!r}",
+            f"{float(col_norms[worst])!r}",
             stacklevel=2,
         )
     e = uniform_vector(q.n)

@@ -2,9 +2,43 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
-from fluidsolve import SparseColumnMatrix
+from fluidsolve import DiffusionState, SparseColumnMatrix, diffuse_coordinate
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_graphs():
+    """The benchmark's seeded graph module, ``perfbench/graphs.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_graphs", ROOT / "perfbench" / "graphs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def seeded_link_matrix(n: int, seed: int) -> SparseColumnMatrix:
+    """Q of the benchmark's seeded out-degree-8 graph."""
+    rows, cols, vals = perfbench_graphs().link_matrix(n, seed)
+    return SparseColumnMatrix.from_entries(n, np.column_stack((rows, cols, vals)))
+
+
+def engine_clu(m: SparseColumnMatrix, f0, seq, steps: int):
+    """``steps`` calls of the per-step engine along ``seq``.
+
+    Returns the state (its trace has one row per step) and the recomputed
+    l1(F) after every step, entry 0 at the start.
+    """
+    state = DiffusionState.start(f0)
+    exact = [state.residual_l1()]
+    indices = seq.iter_indices()
+    for _ in range(steps):
+        diffuse_coordinate(state, m, next(indices))
+        exact.append(state.residual_l1())
+    return state, exact
 
 
 def random_substochastic(rng: np.random.Generator, n: int, density: float = 0.6,

@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from fluidsolve import load_case, uniform_vector
+from fluidsolve import (
+    DiffusionState,
+    aggregate_sweeps,
+    diffuse_vector,
+    load_case,
+    read_matrix_market,
+    uniform_vector,
+    write_trace_csv,
+)
 from fluidsolve.cli import (
     EXIT_INPUT,
     EXIT_NOT_CONVERGED,
@@ -20,7 +28,7 @@ from fluidsolve.cli import (
     run_experiment,
     run_verification,
 )
-from helpers import fit_log_slope, read_trace_csv
+from helpers import engine_clu, fit_log_slope, perfbench_graphs, read_trace_csv
 
 CASE1_MM = """%%MatrixMarket matrix coordinate real general
 5 5 6
@@ -30,6 +38,15 @@ CASE1_MM = """%%MatrixMarket matrix coordinate real general
 5 4 1.0
 1 5 0.5
 2 5 0.5
+"""
+
+
+OVERFLOW_MM = """%%MatrixMarket matrix coordinate real general
+2 2 4
+1 1 1e300
+1 2 1e300
+2 1 1e300
+2 2 1e300
 """
 
 
@@ -281,6 +298,19 @@ class TestMainExitCodes:
         assert code == EXIT_INPUT
         assert "b.txt:3: non-finite value 'inf'" in capsys.readouterr().err
 
+    def test_overflow_exits_3_as_non_finite(self, tmp_path, capsys):
+        mm = tmp_path / "big.mtx"
+        mm.write_text(OVERFLOW_MM)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(UserWarning, match="not column-stochastic"):
+            code = main(["custom", "--matrix", str(mm), "--out", str(tmp_path)])
+        assert code == EXIT_NOT_CONVERGED
+        lines = capsys.readouterr().out.splitlines()
+        for scheme in ("PI", "GSl", "Jac", "GSa"):
+            line = next(ln for ln in lines if ln.startswith(f"big {scheme:>3}:"))
+            assert "NOT CONVERGED (non_finite)" in line
+            assert "residual 0.000e+00" not in line
+
     def test_custom_subcommand_end_to_end(self, tmp_path):
         mm = tmp_path / "m.mtx"
         mm.write_text(CASE1_MM)
@@ -288,6 +318,50 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert (tmp_path / "m_Jac.csv").exists()
+
+
+class TestWindowedTraceRows:
+    """Coordinate-level runs keep one trace row per window, not one per step."""
+
+    N = 200
+
+    @pytest.fixture(scope="class")
+    def graph(self, tmp_path_factory):
+        graphs = perfbench_graphs()
+        path = tmp_path_factory.mktemp("graph") / "g.mtx"
+        graphs.write_matrix_market(path, self.N, *graphs.link_matrix(self.N, 1))
+        return path
+
+    def test_one_row_per_sweep_and_vector_level_bytes_unchanged(self, graph, tmp_path):
+        result = run_custom(graph, RunConfig(output_dir=tmp_path))
+        for scheme in ("GSl", "GSa"):
+            run = result.traces[scheme].run
+            assert run.converged
+            assert len(run.trace) == run.steps // self.N + 1
+            assert len(read_trace_csv(result.traces[scheme].csv_path)) == len(run.trace)
+        for scheme in ("PI", "Jac"):  # against the per-step engine
+            trace = result.traces[scheme]
+            state = DiffusionState.start(trace.equivalent.f0)
+            while state.trace[-1].residual_l1 > 1e-10:
+                diffuse_vector(state, trace.equivalent.matrix)
+            reference = tmp_path / f"reference_{scheme}.csv"
+            write_trace_csv(reference, state.trace)
+            assert trace.csv_path.read_bytes() == reference.read_bytes()
+
+    def test_sample_every_rows_match_aggregate_sweeps(self, graph, tmp_path):
+        cfg = RunConfig(schemes=("GSl", "GSa"), sample_every=7, output_dir=tmp_path)
+        result = run_custom(graph, cfg)
+        for scheme in cfg.schemes:
+            trace = result.traces[scheme]
+            equiv = trace.equivalent
+            engine, exact = engine_clu(equiv.matrix, equiv.f0, equiv.seq, trace.run.steps)
+            expected = aggregate_sweeps(engine.trace, 7)
+            rows = read_trace_csv(trace.csv_path)
+            assert [r[0] for r in rows] == [r.step for r in expected]
+            for (step, resid, cancelled, contracted), want in zip(rows, expected):
+                assert cancelled == pytest.approx(want.cancelled, rel=1e-12, abs=1e-16)
+                assert contracted == pytest.approx(want.contracted, rel=1e-12, abs=1e-16)
+                assert resid == pytest.approx(exact[7 * step], rel=1e-12, abs=1e-16)
 
 
 def test_module_entry_point_is_deterministic(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluidsolve import (
     DiffusionState,
@@ -15,7 +17,7 @@ from fluidsolve import (
     run_diffusion,
     uniform_vector,
 )
-from helpers import random_signed_vector, random_substochastic
+from helpers import engine_clu, random_signed_vector, random_substochastic, seeded_link_matrix
 
 
 @pytest.fixture
@@ -158,6 +160,7 @@ class TestRunDiffusion:
             stop=StoppingRule(tol=1e-10, max_steps=3),
         )
         assert not run.converged
+        assert run.status == "budget"
         assert run.steps == 3
 
     def test_mode_validation(self, case1_damped):
@@ -167,6 +170,99 @@ class TestRunDiffusion:
             run_diffusion(case1_damped, np.zeros(5), mode="clu")
         with pytest.raises(ValueError, match="no update sequence"):
             run_diffusion(case1_damped, np.zeros(5), mode="vlu", seq=UpdateSequence.round_robin(5))
+        with pytest.raises(ValueError, match="every"):
+            run_diffusion(case1_damped, np.zeros(5), mode="clu", seq=UpdateSequence.round_robin(5), every=0)
+        with pytest.raises(ValueError, match="every step"):
+            run_diffusion(case1_damped, np.zeros(5), mode="vlu", every=5)
+
+    # Signed f0 * 1e3 on the benchmark's seeded graph: the running residual
+    # drifts from l1(F) by more than tol. At n=200 it used to read converged
+    # with l1(F) = 2.06e-10; at n=500 it stuck above tol while l1(F) fell to
+    # 2.3e-51, and the run used its whole budget.
+    @pytest.mark.parametrize("n, seed", [(200, 2), (500, 1)])
+    def test_clu_converges_on_the_recomputed_residual(self, n, seed):
+        m = seeded_link_matrix(n, seed).scaled(0.85)
+        f0 = 1e3 * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        stop = StoppingRule(tol=1e-10, max_steps=100_000)
+        run = run_diffusion(m, f0, mode="clu", seq=UpdateSequence.round_robin(n), stop=stop)
+        assert run.converged
+        assert run.state.residual_l1() <= 1e-10
+        assert run.trace[-1].residual_l1 == run.state.residual_l1()
+
+    @pytest.mark.parametrize("mode", ["clu", "vlu"])
+    def test_overflow_is_non_finite_not_converged(self, mode):
+        # finite input whose iterates overflow: inf - inf = NaN inside F
+        m = SparseColumnMatrix.from_dense(np.full((2, 2), 1e300))
+        seq = UpdateSequence.round_robin(2) if mode == "clu" else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = run_diffusion(m, [1.0, 2.0], mode=mode, seq=seq, stop=StoppingRule(tol=1e-10, max_steps=50))
+        assert run.status == "non_finite"
+        assert not run.converged
+        assert run.steps <= 2
+        assert not np.isfinite(run.state.residual_l1())
+
+    def test_non_finite_start_is_reported(self, case1_damped):
+        f0 = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
+        run = run_diffusion(case1_damped, f0, mode="clu", seq=UpdateSequence.round_robin(5))
+        assert run.status == "non_finite" and run.steps == 0
+
+
+class TestCoordinateDriver:
+    """run_diffusion's coordinate-level driver against the per-step engine."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        every_key=st.sampled_from(["1", "3", "n", "2n"]),
+        windows=st.integers(0, 6),
+        mid_window=st.booleans(),
+        signed=st.booleans(),
+        explicit=st.booleans(),
+        use_tol=st.booleans(),
+    )
+    @example(seed=1, n=4, every_key="n", windows=3, mid_window=False, signed=True, explicit=False, use_tol=False)
+    @example(seed=2, n=5, every_key="3", windows=4, mid_window=True, signed=True, explicit=True, use_tol=False)
+    @example(seed=3, n=6, every_key="2n", windows=2, mid_window=True, signed=False, explicit=True, use_tol=True)
+    def test_matches_per_step_engine(self, seed, n, every_key, windows, mid_window, signed, explicit, use_tol):
+        rng = np.random.default_rng(seed)
+        m, _ = random_substochastic(rng, n)  # random dense pattern: self-loops included
+        f0 = random_signed_vector(rng, n) if signed else rng.random(n)
+        if explicit:  # every coordinate once, plus repeats, shuffled
+            order = np.concatenate((np.arange(n), rng.integers(0, n, int(rng.integers(0, n + 1)))))
+            seq = UpdateSequence.explicit(n, rng.permutation(order).tolist())
+        else:
+            seq = UpdateSequence.round_robin(n)
+        every = {"1": 1, "3": 3, "n": n, "2n": 2 * n}[every_key]
+        max_steps = windows * every + (every // 2 + 1 if mid_window and every > 1 else 0)
+        tol = 0.05 * l1_norm(f0) if use_tol else None
+
+        run = run_diffusion(m, f0, mode="clu", seq=seq, stop=StoppingRule(tol=tol, max_steps=max_steps),
+                            every=every)
+        engine, exact = engine_clu(m, f0, seq, run.steps)
+
+        assert run.state.f.tobytes() == engine.f.tobytes()
+        assert run.state.h.tobytes() == engine.h.tobytes()
+        if run.status == "budget":
+            assert run.steps == max_steps
+        else:
+            assert run.status == "converged" and exact[run.steps] <= tol
+        # it stops at the first step whose l1(F) is below tol by more than drift
+        if tol is not None:
+            assert all(exact[s] > tol * (1.0 - 1e-9) for s in range(run.steps))
+
+        expected = aggregate_sweeps(engine.trace, every)
+        assert [r.step for r in run.trace] == [r.step for r in expected]
+        scale = l1_norm(f0)
+        for got, want in zip(run.trace, expected):
+            assert got.cancelled == pytest.approx(want.cancelled, rel=1e-12, abs=1e-15 * scale)
+            assert got.contracted == pytest.approx(want.contracted, rel=1e-12, abs=1e-15 * scale)
+            assert got.residual_l1 == pytest.approx(exact[got.step * every], rel=1e-12, abs=1e-15 * scale)
+            if not signed:
+                assert got.cancelled == 0.0
+        got, want = run.state.metrics, engine.metrics
+        assert got.total_cancelled == pytest.approx(want.total_cancelled, rel=1e-12, abs=1e-15 * scale)
+        assert got.total_contracted == pytest.approx(want.total_contracted, rel=1e-12, abs=1e-15 * scale)
 
 
 class TestInvariants:

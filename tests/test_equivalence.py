@@ -113,6 +113,14 @@ class TestPagerankDecompose:
         with pytest.warns(UserWarning, match="not column-stochastic"):
             pagerank_decompose(dangling, 0.85, uniform_vector(2))
 
+    def test_warning_prints_the_norm_as_a_plain_number(self):
+        huge = SparseColumnMatrix.from_entries(2, [(0, 0, 1e300), (1, 1, 1.0)])
+        with pytest.warns(UserWarning) as caught:
+            pagerank_decompose(huge, 0.85, uniform_vector(2))
+        message = str(caught[0].message)
+        assert "column 0 has L1 norm 1e+300" in message
+        assert "np.float64" not in message
+
     def test_one_step_identity_on_all_cases(self):
         # a single power-iteration step on the full operator equals one
         # vector-level diffusion step plus offset bookkeeping when sigma(x)=1

@@ -9,7 +9,6 @@ from .cases import BUILTIN_CASES, DEFAULT_DAMPING, CaseDefinition, load_case
 from .diffusion import (
     DiffusionRun,
     DiffusionState,
-    MetricAccumulator,
     StoppingRule,
     TraceRecord,
     aggregate_sweeps,

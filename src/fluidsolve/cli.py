@@ -299,8 +299,8 @@ def cancellation_report(case: CaseDefinition, scheme: str, n_steps: int,
     return CancellationSummary(
         scheme=scheme,
         steps=n_steps,
-        cumulative_cancelled=run.state.metrics.total_cancelled,
-        cumulative_contracted=run.state.metrics.total_contracted,
+        cumulative_cancelled=run.state.total_cancelled,
+        cumulative_contracted=run.state.total_contracted,
         per_step=per_step,
     )
 

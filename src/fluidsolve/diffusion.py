@@ -39,6 +39,12 @@ vector-level runs through :func:`diffuse_vector` and coordinate-level runs
 through a scalar loop that reproduces :func:`diffuse_coordinate` bitwise in
 F and H, keeping one trace row per window of steps.
 
+The state and every row the engine records hold the exact l1(F), that is
+``np.abs(F).sum()`` after the step. Only the coordinate-level driver keeps
+a running residual, as a local between exact recomputes (every n steps and
+whenever it reaches tol): its rows at windows that do not end on a
+multiple of n steps carry that running total, which drifts by roundoff.
+
 The engine is thread-compatible, not thread-safe: a DiffusionState is owned
 by one driver, while independent runs may share read-only matrices freely.
 """
@@ -56,7 +62,6 @@ from .linalg import SparseColumnMatrix, UpdateSequence, as_vector
 
 __all__ = [
     "TraceRecord",
-    "MetricAccumulator",
     "DiffusionState",
     "StoppingRule",
     "DiffusionRun",
@@ -76,45 +81,37 @@ class TraceRecord(NamedTuple):
     contracted: float
 
 
-@dataclass
-class MetricAccumulator:
-    """Running totals of the two loss channels plus the trace rows."""
-
-    total_contracted: float = 0.0
-    total_cancelled: float = 0.0
-    per_step: list[TraceRecord] = field(default_factory=list)
-
-    def record(self, step: int, residual_l1: float, cancelled: float, contracted: float) -> None:
-        self.total_cancelled += cancelled
-        self.total_contracted += contracted
-        self.per_step.append(TraceRecord(step, residual_l1, cancelled, contracted))
-
-
+@dataclass(eq=False, slots=True)
 class DiffusionState:
-    """Paired fluid vectors (F, H) with a step counter and metric accumulators.
+    """Paired fluid vectors (F, H) with a step counter, trace rows and loss totals.
 
-    Trace rows carry an incrementally tracked residual L1 (cheap and exact in
-    real arithmetic, assuming only the step functions mutate F, but it drifts
-    by roundoff); :meth:`residual_l1` always recomputes from scratch.
+    A row recorded by the per-step engine carries the exact l1(F) after its
+    step, bitwise what :meth:`residual_l1` returns then. The totals add the
+    losses of every step, also those of a trailing partial window that a
+    windowed run keeps no row for.
     """
 
-    __slots__ = ("f", "h", "f0", "step", "metrics", "_resid_l1")
-
-    def __init__(self, f: np.ndarray, h: np.ndarray, f0: np.ndarray, step: int, metrics: MetricAccumulator):
-        self.f = f
-        self.h = h
-        self.f0 = f0
-        self.step = step
-        self.metrics = metrics
-        self._resid_l1 = float(np.abs(f).sum())
+    f: np.ndarray
+    h: np.ndarray
+    f0: np.ndarray
+    step: int = 0
+    trace: list[TraceRecord] = field(default_factory=list)
+    total_cancelled: float = 0.0
+    total_contracted: float = 0.0
 
     @classmethod
     def start(cls, f0) -> "DiffusionState":
         """Fresh state with F = f0 and H = 0; records the step-0 trace row."""
         f0 = as_vector(f0).copy()
-        state = cls(f0.copy(), np.zeros_like(f0), f0, 0, MetricAccumulator())
-        state.metrics.per_step.append(TraceRecord(0, state._resid_l1, 0.0, 0.0))
+        state = cls(f0.copy(), np.zeros_like(f0), f0)
+        state.trace.append(TraceRecord(0, state.residual_l1(), 0.0, 0.0))
         return state
+
+    def record(self, residual_l1: float, cancelled: float, contracted: float) -> None:
+        """Append the row of the current step and add its losses to the totals."""
+        self.total_cancelled += cancelled
+        self.total_contracted += contracted
+        self.trace.append(TraceRecord(self.step, residual_l1, cancelled, contracted))
 
     @property
     def n(self) -> int:
@@ -127,9 +124,10 @@ class DiffusionState:
         """l1(F + H - m@H - F_0); zero up to roundoff for a faithful run."""
         return float(np.abs(self.f + self.h - m.matvec(self.h) - self.f0).sum())
 
-    @property
-    def trace(self) -> list[TraceRecord]:
-        return self.metrics.per_step
+
+def _clamp(x: float) -> float:
+    """max(0, x) that keeps NaN (Python's max(0.0, nan) is 0.0)."""
+    return 0.0 if x <= 0.0 else x
 
 
 def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> DiffusionState:
@@ -143,7 +141,7 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
     state.step += 1
     fluid = float(f[i])
     if fluid == 0.0:
-        state.metrics.record(state.step, state._resid_l1, 0.0, 0.0)
+        state.record(state.residual_l1(), 0.0, 0.0)
         return state
 
     state.h[i] += fluid
@@ -152,19 +150,15 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
     delta = fluid * vals
     old = f[rows]  # post-removal values at the receiving coordinates
     new = old + delta
-    abs_old = np.abs(old)
     abs_delta = np.abs(delta)
-    abs_new = np.abs(new)
     f[rows] = new
 
     # Per-entry overlap |old| + |delta| - |old + delta|; exactly zero (not
-    # just tiny) wherever the two operands share a sign.
-    cancelled = float(np.maximum(abs_old + abs_delta - abs_new, 0.0).sum())
-    sum_delta = float(abs_delta.sum())
-    contracted = max(0.0, abs(fluid) - sum_delta)
-    resid = state._resid_l1 - abs(fluid) + float(abs_new.sum()) - float(abs_old.sum())
-    state._resid_l1 = 0.0 if resid < 0.0 else resid  # not max(0.0, .): that maps NaN to 0
-    state.metrics.record(state.step, state._resid_l1, cancelled, contracted)
+    # just tiny) wherever the two operands share a sign, and never negative,
+    # because rounding is monotone.
+    cancelled = float((np.abs(old) + abs_delta - np.abs(new)).sum())
+    contracted = abs(fluid) - float(abs_delta.sum())
+    state.record(state.residual_l1(), cancelled, _clamp(contracted))
     return state
 
 
@@ -175,22 +169,23 @@ def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionSta
         raise ValueError(f"matrix dimension {m.n} != state dimension {f.shape[0]}")
 
     state.step += 1
+    before_l1 = state.residual_l1()
     state.h += f
     # Scale every stored entry by the fluid at its column, then fold the
     # incoming contributions per target row.
     per_entry = m.vals * f[m.cols]
     new_f = np.bincount(m.rows, weights=per_entry, minlength=m.n)
     abs_in = np.bincount(m.rows, weights=np.abs(per_entry), minlength=m.n)
-    new_l1 = float(np.abs(new_f).sum())
+    abs_new = np.abs(new_f)
+    new_l1 = float(abs_new.sum())
     delivered = float(abs_in.sum())
 
     # Per row: (sum_k |delta_jk|) - |sum_k delta_jk|, exactly zero where all
-    # contributions share a sign (both folds perform the same additions).
-    cancelled = float(np.maximum(abs_in - np.abs(new_f), 0.0).sum())
-    contracted = max(0.0, state._resid_l1 - delivered)
+    # contributions share a sign and never negative (both folds perform the
+    # same additions, and rounding is monotone).
+    cancelled = float((abs_in - abs_new).sum())
     state.f = new_f
-    state._resid_l1 = new_l1
-    state.metrics.record(state.step, new_l1, cancelled, contracted)
+    state.record(new_l1, cancelled, _clamp(before_l1 - delivered))
     return state
 
 
@@ -284,7 +279,7 @@ def run_diffusion(
         return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
     while state.step < stop.max_steps:
         diffuse_vector(state, m)
-        status = _status(state._resid_l1, stop.tol)
+        status = _status(state.trace[-1].residual_l1, stop.tol)
         if status != "budget":
             break
     return DiffusionRun(state, status)
@@ -310,11 +305,10 @@ def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
     rows, vals = m.rows.tolist(), m.vals.tolist()
     bounds = m.indptr.tolist()
     columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    metrics = state.metrics
-    trace = metrics.per_step
-    total_c, total_k = metrics.total_cancelled, metrics.total_contracted
+    trace = state.trace
+    total_c, total_k = state.total_cancelled, state.total_contracted
     win_c = win_k = 0.0
-    resid = state._resid_l1
+    resid = state.residual_l1()
     status = "budget"
     step = state.step
     for i in itertools.islice(seq.iter_indices(), max(0, stop.max_steps - step)):
@@ -334,7 +328,9 @@ def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
                 # rounding is monotone, so this overlap is never negative
                 cancelled += abs(old) + abs_delta - abs(new)
             abs_fl = abs(fl)
-            contracted = max(0.0, abs_fl - sum_delta)
+            contracted = abs_fl - sum_delta
+            if contracted <= 0.0:  # not max(0.0, .): that maps NaN to 0
+                contracted = 0.0
             resid = resid - abs_fl + sum_delta - cancelled
             if resid < 0.0:  # a NaN stays NaN for the exact check to catch
                 resid = 0.0
@@ -350,9 +346,8 @@ def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
             win_c = win_k = 0.0
         if status != "budget":
             break
-    state.f, state.h = np.array(f), np.array(h)
-    state.step, state._resid_l1 = step, resid
-    metrics.total_cancelled, metrics.total_contracted = total_c, total_k
+    state.f, state.h, state.step = np.array(f), np.array(h), step
+    state.total_cancelled, state.total_contracted = total_c, total_k
     return status
 
 

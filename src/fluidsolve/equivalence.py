@@ -152,10 +152,10 @@ def diffusion_form(
         raise ValueError(f"damping factor must lie in (0, 1), got {d}")
     n = q.n
     if scheme in ("PI", "GSl"):
-        x0 = x0 if x0 is not None else uniform_vector(n)
-        if scheme == "PI":
-            return pagerank_decompose(q, d, x0)
-        return pagerank_decompose(q, d, x0, mode="clu", seq=seq)
+        # one call site, so the default filter shows a column-sum warning once per run
+        clu = scheme == "GSl"
+        return pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n),
+                                  mode="clu" if clu else "vlu", seq=seq if clu else None)
     b = b if b is not None else (1.0 - d) * uniform_vector(n)
     return to_diffusion(SchemeSpec(scheme, q.scaled(d), b=b, seq=seq))
 

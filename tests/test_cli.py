@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -362,6 +363,19 @@ class TestWindowedTraceRows:
                 assert cancelled == pytest.approx(want.cancelled, rel=1e-12, abs=1e-16)
                 assert contracted == pytest.approx(want.contracted, rel=1e-12, abs=1e-16)
                 assert resid == pytest.approx(exact[7 * step], rel=1e-12, abs=1e-16)
+
+
+def test_column_sum_warning_shows_once(tmp_path):
+    path = tmp_path / "sub.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 0.5\n1 2 0.5\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}  # the default filter
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluidsolve", "custom", "--matrix", str(path), "--schemes", "PI,GSl",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.count("not column-stochastic") == 1, proc.stderr
 
 
 def test_module_entry_point_is_deterministic(tmp_path):

@@ -260,9 +260,50 @@ class TestCoordinateDriver:
             assert got.residual_l1 == pytest.approx(exact[got.step * every], rel=1e-12, abs=1e-15 * scale)
             if not signed:
                 assert got.cancelled == 0.0
-        got, want = run.state.metrics, engine.metrics
+        got, want = run.state, engine
         assert got.total_cancelled == pytest.approx(want.total_cancelled, rel=1e-12, abs=1e-15 * scale)
         assert got.total_contracted == pytest.approx(want.total_contracted, rel=1e-12, abs=1e-15 * scale)
+
+
+class TestExactRecord:
+    """Engine rows hold the exact l1(F); NaN stays visible in every column."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residual_contract_for_any_step_mix(self, seed):
+        m = seeded_link_matrix(200, 2)
+        rng = np.random.default_rng(seed)
+        state = DiffusionState.start(1e3 * rng.uniform(-1.0, 1.0, m.n))
+        assert state.trace[-1].residual_l1 == state.residual_l1()
+        for _ in range(3 * m.n):
+            if rng.random() < 0.1:
+                diffuse_vector(state, m)
+            else:
+                diffuse_coordinate(state, m, int(rng.integers(m.n)))
+            assert state.trace[-1].residual_l1 == state.residual_l1()
+        assert state.total_cancelled == sum(r.cancelled for r in state.trace)
+        assert state.total_contracted == sum(r.contracted for r in state.trace)
+
+    @pytest.mark.parametrize("mode", ["clu", "vlu"])
+    def test_engine_contracted_keeps_nan(self, mode):
+        m = SparseColumnMatrix.from_dense(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        state = DiffusionState.start([np.nan, 0.0])
+        if mode == "clu":
+            diffuse_coordinate(state, m, 0)
+        else:
+            diffuse_vector(state, m)
+        assert np.isnan(state.trace[-1].contracted)
+        assert np.isnan(state.total_contracted)
+
+    def test_driver_contracted_keeps_nan(self):
+        # step 2 overflows F to inf; step 3 collects inf and deposits inf: inf - inf
+        m = SparseColumnMatrix.from_dense(np.full((3, 3), 1e300))
+        stop = StoppingRule(tol=None, max_steps=10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = run_diffusion(m, [1.0, 1.0, 1.0], mode="clu", seq=UpdateSequence.round_robin(3), stop=stop)
+        assert run.status == "non_finite" and run.steps == 3
+        assert [r.contracted for r in run.trace[1:3]] == [0.0, 0.0]  # -inf clamps to 0
+        assert np.isnan(run.trace[3].contracted)
+        assert np.isnan(run.state.total_contracted)
 
 
 class TestInvariants:

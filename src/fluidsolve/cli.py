@@ -389,6 +389,7 @@ def _report_experiment(result: ExperimentResult) -> int:
         status = "converged" if trace.converged else f"NOT CONVERGED ({trace.run.status})"
         print(
             f"{result.case.name} {scheme:>3}: {status} after {trace.run.steps} steps, "
+            f"{trace.run.state.delivered} nonzeros delivered, "
             f"residual {trace.run.state.residual_l1():.3e} -> {trace.csv_path}"
         )
         if not trace.converged:

@@ -36,8 +36,9 @@ Each step also splits the L1 mass that left F into two causes:
 :func:`diffuse_coordinate` and :func:`diffuse_vector` are the per-step
 engine, the reference for everything else. :func:`run_diffusion` drives
 vector-level runs through :func:`diffuse_vector` and coordinate-level runs
-through a scalar loop that reproduces :func:`diffuse_coordinate` bitwise in
-F and H, keeping one trace row per window of steps.
+through a compiled step function (``_clu.c``, with a Python twin when no
+compiler is available) that reproduces :func:`diffuse_coordinate` bitwise
+in F and H, keeping one trace row per window of steps.
 
 The state and every row the engine records hold the exact l1(F), that is
 ``np.abs(F).sum()`` after the step. Only the coordinate-level driver keeps
@@ -51,13 +52,13 @@ by one driver, while independent runs may share read-only matrices freely.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _clu
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector
 
 __all__ = [
@@ -88,7 +89,9 @@ class DiffusionState:
     A row recorded by the per-step engine carries the exact l1(F) after its
     step, bitwise what :meth:`residual_l1` returns then. The totals add the
     losses of every step, also those of a trailing partial window that a
-    windowed run keeps no row for.
+    windowed run keeps no row for. ``delivered`` counts the stored matrix
+    entries that carried fluid, the paper's cost unit: a column's nnz for a
+    coordinate step on nonzero fluid, all nnz for a vector step.
     """
 
     f: np.ndarray
@@ -98,6 +101,7 @@ class DiffusionState:
     trace: list[TraceRecord] = field(default_factory=list)
     total_cancelled: float = 0.0
     total_contracted: float = 0.0
+    delivered: int = 0
 
     @classmethod
     def start(cls, f0) -> "DiffusionState":
@@ -147,6 +151,7 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
     state.h[i] += fluid
     f[i] = 0.0
     rows, vals = m.column(i)
+    state.delivered += rows.shape[0]
     delta = fluid * vals
     old = f[rows]  # post-removal values at the receiving coordinates
     new = old + delta
@@ -169,6 +174,7 @@ def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionSta
         raise ValueError(f"matrix dimension {m.n} != state dimension {f.shape[0]}")
 
     state.step += 1
+    state.delivered += m.nnz
     before_l1 = state.residual_l1()
     state.h += f
     # Scale every stored entry by the fluid at its column, then fold the
@@ -178,14 +184,14 @@ def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionSta
     abs_in = np.bincount(m.rows, weights=np.abs(per_entry), minlength=m.n)
     abs_new = np.abs(new_f)
     new_l1 = float(abs_new.sum())
-    delivered = float(abs_in.sum())
+    arrived = float(abs_in.sum())
 
     # Per row: (sum_k |delta_jk|) - |sum_k delta_jk|, exactly zero where all
     # contributions share a sign and never negative (both folds perform the
     # same additions, and rounding is monotone).
     cancelled = float((abs_in - abs_new).sum())
     state.f = new_f
-    state.record(new_l1, cancelled, _clamp(before_l1 - delivered))
+    state.record(new_l1, cancelled, _clamp(before_l1 - arrived))
     return state
 
 
@@ -287,67 +293,44 @@ def run_diffusion(
 
 def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
              stop: StoppingRule, every: int) -> str:
-    """Coordinate-level steps on Python floats; mutates ``state``, returns the status.
+    """Coordinate-level steps in stretches; mutates ``state``, returns the status.
 
-    F and H are copied to lists and the matrix to per-column (row, value)
-    tuples, once per run. Each step performs the IEEE operations of
-    :func:`diffuse_coordinate` entry by entry, so F and H end bitwise equal
-    to that many calls. The per-step sums (cancelled, contracted) add
-    entries in column order, where numpy adds 8 or more pairwise, so they
-    may differ in the last bits. The running residual follows
-    l1(F) - |fl| + sum|delta| - cancelled, the engine's update in exact
-    arithmetic; it is replaced by the exact ``np.abs(F).sum()`` every n
-    steps and whenever it reaches tol, and only an exact value ends the run.
+    Each stretch runs up to the next window end, multiple of n or the budget
+    in one call of the step function from :mod:`._clu` (compiled, or its
+    Python twin), which updates F, H, the running residual, the window sums,
+    the totals and the nonzeros delivered in place. Each step performs the
+    IEEE operations of :func:`diffuse_coordinate` entry by entry, so F and H
+    end bitwise equal to that many calls. The per-step sums (cancelled,
+    contracted) add entries in column order, where numpy adds 8 or more
+    pairwise, so they may differ in the last bits. The running residual
+    follows l1(F) - |fl| + sum|delta| - cancelled, the engine's update in
+    exact arithmetic; the step function stops once it reaches tol, and it is
+    replaced by the exact ``np.abs(F).sum()`` then and every n steps. Only an
+    exact value ends the run.
     """
     n = m.n
     stop_at = -1.0 if stop.tol is None else stop.tol
-    f, h = state.f.tolist(), state.h.tolist()
-    rows, vals = m.rows.tolist(), m.vals.tolist()
-    bounds = m.indptr.tolist()
-    columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    trace = state.trace
-    total_c, total_k = state.total_cancelled, state.total_contracted
-    win_c = win_k = 0.0
-    resid = state.residual_l1()
+    order = seq.period()
+    # running residual, window cancelled, window contracted, total cancelled, total contracted
+    acc = np.array([state.residual_l1(), 0.0, 0.0, state.total_cancelled, state.total_contracted])
+    delivered = np.array([state.delivered], dtype=np.int64)
+    steps = _clu.load()(order, np.ascontiguousarray(m.indptr, dtype=np.int64),
+                        np.ascontiguousarray(m.rows, dtype=np.int64),
+                        np.ascontiguousarray(m.vals, dtype=np.float64),
+                        state.f, state.h, acc, delivered)
     status = "budget"
-    step = state.step
-    for i in itertools.islice(seq.iter_indices(), max(0, stop.max_steps - step)):
-        step += 1
-        fl = f[i]
-        if fl != 0.0:
-            h[i] += fl
-            f[i] = 0.0
-            cancelled = sum_delta = 0.0
-            for r, v in columns[i]:
-                old = f[r]
-                delta = fl * v
-                new = old + delta
-                f[r] = new
-                abs_delta = abs(delta)
-                sum_delta += abs_delta
-                # rounding is monotone, so this overlap is never negative
-                cancelled += abs(old) + abs_delta - abs(new)
-            abs_fl = abs(fl)
-            contracted = abs_fl - sum_delta
-            if contracted <= 0.0:  # not max(0.0, .): that maps NaN to 0
-                contracted = 0.0
-            resid = resid - abs_fl + sum_delta - cancelled
-            if resid < 0.0:  # a NaN stays NaN for the exact check to catch
-                resid = 0.0
-            total_c += cancelled
-            total_k += contracted
-            win_c += cancelled
-            win_k += contracted
-        if resid <= stop_at or step % n == 0:
-            resid = float(np.abs(np.array(f)).sum())
-            status = _status(resid, stop.tol)
+    step = state.step  # 0: run_diffusion starts every run afresh
+    while status == "budget" and step < stop.max_steps:
+        k = min(every - step % every, n - step % n, stop.max_steps - step)
+        step += steps(k, step % order.size, stop_at)
+        if acc[0] <= stop_at or step % n == 0:
+            acc[0] = state.residual_l1()
+            status = _status(acc[0], stop.tol)
         if step % every == 0:
-            trace.append(TraceRecord(step // every, resid, win_c, win_k))
-            win_c = win_k = 0.0
-        if status != "budget":
-            break
-    state.f, state.h, state.step = np.array(f), np.array(h), step
-    state.total_cancelled, state.total_contracted = total_c, total_k
+            state.trace.append(TraceRecord(step // every, *acc[:3].tolist()))
+            acc[1] = acc[2] = 0.0
+    state.step, state.delivered = step, int(delivered[0])
+    state.total_cancelled, state.total_contracted = acc[3:].tolist()
     return status
 
 

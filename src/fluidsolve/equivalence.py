@@ -31,6 +31,8 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -53,6 +55,16 @@ __all__ = [
 
 # Dense LU is acceptable at desk scale only.
 MAX_DENSE_N = 1000
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` that makes a warning name the first caller outside this package."""
+    frame, level = sys._getframe(1), 1  # the function that will call warnings.warn
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ def pagerank_decompose(q: SparseColumnMatrix, d: float, x0, mode: str = "vlu",
         warnings.warn(
             f"matrix is not column-stochastic: column {worst} has L1 norm "
             f"{float(col_norms[worst])!r}",
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     e = uniform_vector(q.n)
     f0 = d * q.matvec(x0) + (1.0 - d) * e - x0

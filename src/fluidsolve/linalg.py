@@ -209,11 +209,15 @@ class UpdateSequence:
             )
         return cls("explicit_list", n, indices=idx)
 
+    def period(self) -> np.ndarray:
+        """One period of the sequence as a fresh int64 array; the stream repeats it."""
+        if self.kind == "round_robin":
+            return np.arange(self.n, dtype=np.int64)
+        return np.array(self._indices, dtype=np.int64)
+
     def iter_indices(self) -> Iterator[int]:
         """Fresh infinite iterator over the sequence."""
-        if self.kind == "round_robin":
-            return itertools.cycle(range(self.n))
-        return itertools.cycle(self._indices)
+        return itertools.cycle(self.period().tolist())
 
     def take(self, k: int) -> list[int]:
         """First ``k`` indices of a fresh iteration."""

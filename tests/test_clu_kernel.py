@@ -1,0 +1,182 @@
+"""The compiled coordinate-level kernel against its Python twin, and how it is loaded.
+
+``fluidsolve._clu.load`` compiles ``_clu.c`` into ``$XDG_CACHE_HOME/fluidsolve``
+on first use and falls back to ``_clu.bind_py`` when it cannot. The loader
+tests run the CLI in fresh interpreters, each with its own cache directory.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fluidsolve import StoppingRule, UpdateSequence, _clu, l1_norm, run_diffusion
+from helpers import perfbench_graphs, seeded_link_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+N = 2000
+
+
+def _run(path, m, f0, seq, stop, every):
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "fallback":
+            mp.setattr(_clu, "load", lambda: _clu.bind_py)
+        elif _clu.load() is _clu.bind_py:
+            pytest.skip("no C compiler to build the coordinate-level kernel")
+        return run_diffusion(m, f0, mode="clu", seq=seq, stop=stop, every=every)
+
+
+def _bits(trace):
+    return [(r.step, r.residual_l1.hex(), r.cancelled.hex(), r.contracted.hex()) for r in trace]
+
+
+@pytest.mark.parametrize("every", [1, 7, N])
+@pytest.mark.parametrize("end", ["converged", "budget"])
+def test_kernel_matches_fallback_bitwise(every, end):
+    m = seeded_link_matrix(N, 1).scaled(0.85)
+    rng = np.random.default_rng(7)
+    f0 = 1e3 * rng.uniform(-1.0, 1.0, N)
+    order = rng.permutation(np.concatenate((np.arange(N), rng.integers(0, N, N // 4))))
+    seq = UpdateSequence.explicit(N, order.tolist())
+    # converged: 10,369 steps in, mid-window for every = 7 and N; budget: ends mid-period
+    if end == "converged":
+        stop = StoppingRule(tol=1e-3 * l1_norm(f0), max_steps=20 * N)
+    else:
+        stop = StoppingRule(tol=None, max_steps=3 * N + 5)
+    kernel = _run("kernel", m, f0, seq, stop, every)
+    fallback = _run("fallback", m, f0, seq, stop, every)
+
+    assert kernel.status == fallback.status == end
+    assert kernel.steps == fallback.steps
+    got, want = kernel.state, fallback.state
+    assert got.f.tobytes() == want.f.tobytes()
+    assert got.h.tobytes() == want.h.tobytes()
+    assert got.total_cancelled.hex() == want.total_cancelled.hex()
+    assert got.total_contracted.hex() == want.total_contracted.hex()
+    assert _bits(got.trace) == _bits(want.trace)
+    assert len(got.trace) == kernel.steps // every + 1
+    assert got.delivered == want.delivered > 0
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("rows", np.array([1, -1, 0])),  # negative row
+    ("order", np.array([0, 1, 3])),  # index past n
+    ("indptr", np.array([0, 2, 1, 3])),  # decreasing column bounds
+    ("vals", np.ones(3, dtype=np.float32)),  # wrong dtype for a double pointer
+    ("h", np.zeros(4)),  # wrong length
+])
+def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
+    bind = _clu.load()
+    if bind is _clu.bind_py:
+        pytest.skip("no C compiler to build the coordinate-level kernel")
+    arrays = dict(order=np.arange(3), indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]),
+                  vals=np.full(3, 0.5), f=np.ones(3), h=np.zeros(3), acc=np.zeros(5),
+                  delivered=np.zeros(1, dtype=np.int64))
+    assert bind(**arrays)(3, 0, -1.0) == 3
+    with pytest.raises(ValueError):
+        bind(**{**arrays, name: bad})
+
+
+# -- loading -------------------------------------------------------------------
+
+PROBE = """\
+import sys
+from fluidsolve import _clu
+from fluidsolve.cli import main
+code = main(sys.argv[1:])
+print("kernel", _clu.load() is not _clu.bind_py)
+print("modules", "hashlib" in sys.modules, "subprocess" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graph") / "graph.mtx"
+    graphs = perfbench_graphs()
+    graphs.write_matrix_market(path, 200, *graphs.link_matrix(200, 1))
+    return path
+
+
+def _start(graph: Path, out: Path, cache: Path, path_var: str | None = None) -> subprocess.Popen:
+    """``fluidsolve custom --schemes GSl,GSa`` on ``graph`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(cache))
+    if path_var is not None:
+        env["PATH"] = path_var
+    argv = ["custom", "--matrix", str(graph), "--schemes", "GSl,GSa", "--out", str(out)]
+    return subprocess.Popen([sys.executable, "-c", PROBE, *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _finish(proc: subprocess.Popen, out: Path) -> tuple[dict, dict[str, bytes]]:
+    """Wait for ``proc``; return its probe lines and the CSVs it wrote."""
+    stdout, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0, stderr
+    assert "Traceback" not in stderr, stderr
+    probe = {line.split()[0]: line.split()[1:] for line in stdout.splitlines()
+             if line.startswith(("kernel ", "modules "))}
+    csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert sorted(csvs) == ["graph_GSa.csv", "graph_GSl.csv"]
+    return probe, csvs
+
+
+@pytest.fixture(scope="module")
+def kernel_run(graph, tmp_path_factory):
+    """One compiled-kernel run: its cache directory and the CSVs it wrote."""
+    tmp = tmp_path_factory.mktemp("kernel")
+    probe, csvs = _finish(_start(graph, tmp / "out", tmp / "cache"), tmp / "out")
+    if probe["kernel"] != ["True"]:
+        pytest.skip("no C compiler to build the coordinate-level kernel")
+    return tmp / "cache", csvs
+
+
+def test_cold_cache_two_processes(graph, kernel_run, tmp_path):
+    cache = tmp_path / "cache"
+    procs = [_start(graph, tmp_path / f"out{k}", cache) for k in range(2)]
+    results = [_finish(proc, tmp_path / f"out{k}") for k, proc in enumerate(procs)]
+    for probe, csvs in results:
+        assert probe["kernel"] == ["True"]
+        assert csvs == kernel_run[1]
+    files = sorted(p.name for p in (cache / "fluidsolve").iterdir())
+    assert len(files) == 1 and files[0].endswith(".so"), files
+
+
+def test_no_compiler_falls_back(graph, kernel_run, tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    probe, csvs = _finish(_start(graph, tmp_path / "out", tmp_path / "cache", str(empty)),
+                          tmp_path / "out")
+    assert probe["kernel"] == ["False"]
+    assert csvs == kernel_run[1]
+    assert not list(tmp_path.joinpath("cache").rglob("*.so"))
+
+
+@pytest.mark.parametrize("how", ["read-only", "not-a-directory"])
+def test_unwritable_cache_falls_back(graph, kernel_run, tmp_path, how):
+    cache = tmp_path / "cache"
+    if how == "read-only":
+        (cache / "fluidsolve").mkdir(parents=True)
+        (cache / "fluidsolve").chmod(0o555)
+    else:
+        cache.write_text("")  # the cache directory cannot be created under a file
+    try:
+        probe, csvs = _finish(_start(graph, tmp_path / "out", cache), tmp_path / "out")
+    finally:
+        if how == "read-only":
+            (cache / "fluidsolve").chmod(0o755)
+    # root writes through a read-only mode, and then the kernel builds
+    built = how == "read-only" and os.geteuid() == 0
+    assert probe["kernel"] == [str(built)]
+    assert csvs == kernel_run[1]
+
+
+def test_warm_run_imports_neither_hashlib_nor_subprocess(graph, kernel_run, tmp_path):
+    probe, csvs = _finish(_start(graph, tmp_path / "out", kernel_run[0]), tmp_path / "out")
+    assert probe["kernel"] == ["True"]
+    assert probe["modules"] == ["False", "False"]
+    assert csvs == kernel_run[1]

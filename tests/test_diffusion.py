@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fluidsolve import (
@@ -17,7 +17,18 @@ from fluidsolve import (
     run_diffusion,
     uniform_vector,
 )
+from fluidsolve import _clu
 from helpers import engine_clu, random_signed_vector, random_substochastic, seeded_link_matrix
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def clu_path(request, monkeypatch):
+    """Coordinate-level runs through the compiled kernel or its Python twin (None: unchanged)."""
+    if request.param == "fallback":
+        monkeypatch.setattr(_clu, "load", lambda: _clu.bind_py)
+    elif request.param == "kernel" and _clu.load() is _clu.bind_py:
+        pytest.skip("no C compiler to build the coordinate-level kernel")
+    return request.param
 
 
 @pytest.fixture
@@ -189,8 +200,9 @@ class TestRunDiffusion:
         assert run.state.residual_l1() <= 1e-10
         assert run.trace[-1].residual_l1 == run.state.residual_l1()
 
-    @pytest.mark.parametrize("mode", ["clu", "vlu"])
-    def test_overflow_is_non_finite_not_converged(self, mode):
+    @pytest.mark.parametrize("mode, clu_path", [("clu", "kernel"), ("clu", "fallback"), ("vlu", None)],
+                             ids=["clu-kernel", "clu-fallback", "vlu"], indirect=["clu_path"])
+    def test_overflow_is_non_finite_not_converged(self, mode, clu_path):
         # finite input whose iterates overflow: inf - inf = NaN inside F
         m = SparseColumnMatrix.from_dense(np.full((2, 2), 1e300))
         seq = UpdateSequence.round_robin(2) if mode == "clu" else None
@@ -201,7 +213,7 @@ class TestRunDiffusion:
         assert run.steps <= 2
         assert not np.isfinite(run.state.residual_l1())
 
-    def test_non_finite_start_is_reported(self, case1_damped):
+    def test_non_finite_start_is_reported(self, case1_damped, clu_path):
         f0 = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
         run = run_diffusion(case1_damped, f0, mode="clu", seq=UpdateSequence.round_robin(5))
         assert run.status == "non_finite" and run.steps == 0
@@ -210,7 +222,9 @@ class TestRunDiffusion:
 class TestCoordinateDriver:
     """run_diffusion's coordinate-level driver against the per-step engine."""
 
-    @settings(derandomize=True, deadline=None, max_examples=80)
+    # the fixture only selects the step function; no example changes it
+    @settings(derandomize=True, deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 9),
@@ -224,7 +238,8 @@ class TestCoordinateDriver:
     @example(seed=1, n=4, every_key="n", windows=3, mid_window=False, signed=True, explicit=False, use_tol=False)
     @example(seed=2, n=5, every_key="3", windows=4, mid_window=True, signed=True, explicit=True, use_tol=False)
     @example(seed=3, n=6, every_key="2n", windows=2, mid_window=True, signed=False, explicit=True, use_tol=True)
-    def test_matches_per_step_engine(self, seed, n, every_key, windows, mid_window, signed, explicit, use_tol):
+    def test_matches_per_step_engine(self, clu_path, seed, n, every_key, windows, mid_window, signed,
+                                     explicit, use_tol):
         rng = np.random.default_rng(seed)
         m, _ = random_substochastic(rng, n)  # random dense pattern: self-loops included
         f0 = random_signed_vector(rng, n) if signed else rng.random(n)
@@ -243,6 +258,7 @@ class TestCoordinateDriver:
 
         assert run.state.f.tobytes() == engine.f.tobytes()
         assert run.state.h.tobytes() == engine.h.tobytes()
+        assert run.state.delivered == engine.delivered
         if run.status == "budget":
             assert run.steps == max_steps
         else:
@@ -283,6 +299,16 @@ class TestExactRecord:
         assert state.total_cancelled == sum(r.cancelled for r in state.trace)
         assert state.total_contracted == sum(r.contracted for r in state.trace)
 
+    def test_delivered_counts_entries_that_carry_fluid(self):
+        # case4's d*Q is the cycle 0 -> 1 -> 2 -> 3 -> 4 plus a self-loop and a link back at 4
+        m = load_case("case4").q.scaled(0.85)
+        state = DiffusionState.start([1.0, 0.0, 0.0, 0.0, 0.0])
+        for i in (1, 0, 2, 1):  # only the steps at 0 and then at 1 find fluid
+            diffuse_coordinate(state, m, i)
+        assert state.delivered == 2
+        diffuse_vector(state, m)  # every stored entry, zero fluid or not
+        assert state.delivered == 2 + m.nnz
+
     @pytest.mark.parametrize("mode", ["clu", "vlu"])
     def test_engine_contracted_keeps_nan(self, mode):
         m = SparseColumnMatrix.from_dense(np.array([[0.5, 0.25], [0.25, 0.5]]))
@@ -294,7 +320,7 @@ class TestExactRecord:
         assert np.isnan(state.trace[-1].contracted)
         assert np.isnan(state.total_contracted)
 
-    def test_driver_contracted_keeps_nan(self):
+    def test_driver_contracted_keeps_nan(self, clu_path):
         # step 2 overflows F to inf; step 3 collects inf and deposits inf: inf - inf
         m = SparseColumnMatrix.from_dense(np.full((3, 3), 1e300))
         stop = StoppingRule(tol=None, max_steps=10)

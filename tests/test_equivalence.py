@@ -19,6 +19,7 @@ from fluidsolve import (
     uniform_vector,
     verify_equivalence,
 )
+from fluidsolve.equivalence import diffusion_form
 from helpers import random_signed_vector, random_substochastic
 
 
@@ -112,6 +113,16 @@ class TestPagerankDecompose:
         )
         with pytest.warns(UserWarning, match="not column-stochastic"):
             pagerank_decompose(dangling, 0.85, uniform_vector(2))
+
+    @pytest.mark.parametrize("build", [
+        lambda q: pagerank_decompose(q, 0.85, uniform_vector(2)),
+        lambda q: diffusion_form(q, 0.85, "GSl", seq=UpdateSequence.round_robin(2)),
+    ], ids=["pagerank_decompose", "diffusion_form"])
+    def test_warning_names_the_caller_outside_the_package(self, build):
+        dangling = SparseColumnMatrix.from_dense([[0.0, 0.0], [0.5, 0.0]])
+        with pytest.warns(UserWarning, match="not column-stochastic") as caught:
+            build(dangling)
+        assert caught[0].filename == __file__
 
     def test_warning_prints_the_norm_as_a_plain_number(self):
         huge = SparseColumnMatrix.from_entries(2, [(0, 0, 1e300), (1, 1, 1.0)])

@@ -173,6 +173,13 @@ class TestUpdateSequence:
         seq = UpdateSequence.explicit(3, [1, 0, 2])
         assert seq.take(3) == seq.take(3)
 
+    def test_period_is_one_cycle_as_int64(self):
+        for seq, want in ((UpdateSequence.round_robin(4), [0, 1, 2, 3]),
+                          (UpdateSequence.explicit(3, [2, 0, 2, 1]), [2, 0, 2, 1])):
+            period = seq.period()
+            assert period.dtype == np.int64 and period.tolist() == want
+            assert seq.take(2 * len(want)) == 2 * want
+
 
 def test_random_instance_helper_is_substochastic():
     rng = np.random.default_rng(7)

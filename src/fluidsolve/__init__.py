@@ -37,9 +37,7 @@ from .linalg import (
 from .schemes import (
     SCHEME_KINDS,
     RowView,
-    SchemeRun,
     SchemeSpec,
-    run_scheme,
     step_gsa,
     step_gsl,
     step_jacobi,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -125,11 +126,17 @@ def _bind_kernel(fn):
 
 
 def _compile(source: bytes, target: Path) -> None:
-    """Build ``target`` from ``source``; a temp file and os.replace keep it atomic."""
+    """Build ``target`` from ``source``; a temp file and os.replace keep it atomic.
+
+    The temp file's name is unique to the call, so concurrent builds, from
+    other processes or from threads of this one, never write the same file.
+    """
     import subprocess  # only a cold cache pays for this import
 
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    fd, name = tempfile.mkstemp(prefix=f"{target.name}.", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    tmp = Path(name)
     try:
         proc = subprocess.run(["cc", *CFLAGS, "-o", str(tmp), "-x", "c", "-"], input=source,
                               capture_output=True)

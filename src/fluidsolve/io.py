@@ -1,16 +1,19 @@
 """File ingestion and trace export.
 
 Matrices arrive as MatrixMarket coordinate files ("%%MatrixMarket matrix
-coordinate real general", 1-based indices); vectors as plain text, one real
-per line. Non-finite values (NaN, inf) are rejected at parse time. Every
-CSV the package writes goes through :func:`write_csv`, which renders floats
-with full double precision.
+coordinate real general", 1-based indices, blank and comment lines anywhere
+after the header); vectors as plain text, one real per line. Non-finite values
+(NaN, inf) are rejected at parse time. Every CSV the package writes goes
+through :func:`write_csv`, which renders floats with full double precision.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +31,8 @@ __all__ = [
 ]
 
 TRACE_HEADER = "step,residual_l1,cancelled,contracted"
+_SKIPPED = re.compile(r"\s*(?:%|$)")  # matches a blank or comment line
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 class ParseError(ValueError):
@@ -39,75 +44,70 @@ def _fail(path, lineno: int, message: str) -> "ParseError":
 
 
 def read_matrix_market(path) -> SparseColumnMatrix:
-    """Parse a square matrix in MatrixMarket coordinate real general format."""
+    """Parse a square matrix in MatrixMarket coordinate real general format.
+
+    One ``np.loadtxt`` call reads the entries and ``SparseColumnMatrix.from_entries``
+    checks them; only a rejected file is read again, by :func:`_first_bad_entry`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise _fail(path, 1, "empty file, expected a MatrixMarket header")
-
-    header = lines[0].split()
-    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
-        raise _fail(path, 1, "missing '%%MatrixMarket' header line")
-    obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
-    if (obj, fmt, field, symmetry) != ("matrix", "coordinate", "real", "general"):
-        raise _fail(
-            path,
-            1,
-            "unsupported format; only 'matrix coordinate real general' is accepted",
-        )
-
-    body = (
-        (lineno, line)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    )
-
-    try:
-        size_lineno, size_line = next(body)
-    except StopIteration:
-        raise _fail(path, len(lines), "missing size line 'rows cols nnz'") from None
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise _fail(path, size_lineno, "size line must be 'rows cols nnz'")
-    try:
-        n_rows, n_cols, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise _fail(path, size_lineno, f"non-integer size line {size_line!r}") from None
-    if n_rows != n_cols:
-        raise _fail(path, size_lineno, f"matrix must be square, got {n_rows}x{n_cols}")
-    if n_rows <= 0 or nnz < 0:
-        raise _fail(path, size_lineno, "dimensions must be positive")
-
-    entries: list[tuple[int, int, float]] = []
-    seen: dict[tuple[int, int], int] = {}
-    count = 0
-    last_lineno = size_lineno
-    for lineno, line in body:
-        last_lineno = lineno
-        if count == nnz:
-            raise _fail(path, lineno, f"more than the declared {nnz} entries")
+        lineno, line = 1, fh.readline()
+        if not line:
+            raise _fail(path, 1, "empty file, expected a MatrixMarket header")
+        header = line.lower().split()
+        if len(header) != 5 or header[0] != "%%matrixmarket":
+            raise _fail(path, 1, "missing '%%MatrixMarket' header line")
+        if header[1:] != ["matrix", "coordinate", "real", "general"]:
+            raise _fail(path, 1, "unsupported format; only 'matrix coordinate real general' is accepted")
+        for lineno, line in enumerate(fh, start=2):
+            if not _SKIPPED.match(line):
+                break
+        else:
+            raise _fail(path, lineno, "missing size line 'rows cols nnz'")
         parts = line.split()
         if len(parts) != 3:
-            raise _fail(path, lineno, "entry line must be 'row col value'")
+            raise _fail(path, lineno, "size line must be 'rows cols nnz'")
         try:
-            i, j = int(parts[0]), int(parts[1])
-            value = float(parts[2])
+            n, n_cols, nnz = (int(p) for p in parts)
         except ValueError:
-            raise _fail(path, lineno, f"malformed entry {line!r}") from None
-        if not math.isfinite(value):
-            raise _fail(path, lineno, f"non-finite value {parts[2]!r}")
-        if not 1 <= i <= n_rows or not 1 <= j <= n_cols:
-            raise _fail(path, lineno, f"entry ({i}, {j}) outside 1..{n_rows}")
-        if (i, j) in seen:
-            raise _fail(
-                path, lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[(i, j)]}"
-            )
-        seen[(i, j)] = lineno
-        entries.append((i - 1, j - 1, value))
-        count += 1
-    if count != nnz:
-        raise _fail(path, last_lineno, f"expected {nnz} entries, found {count}")
-    return SparseColumnMatrix.from_entries(n_rows, entries)
+            raise _fail(path, lineno, "non-integer size line " + repr(line.rstrip("\n"))) from None
+        if n != n_cols:
+            raise _fail(path, lineno, f"matrix must be square, got {n}x{n_cols}")
+        if n <= 0 or nnz < 0:
+            raise _fail(path, lineno, "dimensions must be positive")
+
+        # the "0 0 0" row, dropped again, keeps loadtxt from warning of no data when nnz = 0
+        lines = itertools.chain(itertools.filterfalse(_SKIPPED.match, fh), ["0 0 0"])
+        with contextlib.suppress(ValueError):  # a malformed line, or an entry from_entries rejects
+            i, j, v = (a[:-1] for a in np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True))
+            if i.size == nnz:
+                return SparseColumnMatrix.from_entries(n, np.column_stack((i - 1, j - 1, v)))
+    raise _first_bad_entry(path, lineno, n, nnz)
+
+
+def _first_bad_entry(path, size_lineno: int, n: int, nnz: int) -> ParseError:
+    """The error naming the first bad entry line; it never accepts the file."""
+    seen: dict[tuple[int, int], int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in itertools.islice(enumerate(fh, start=1), size_lineno, None):
+            if _SKIPPED.match(line):
+                continue
+            if len(seen) == nnz:
+                return _fail(path, lineno, f"more than the declared {nnz} entries")
+            parts = line.split()
+            if len(parts) != 3:
+                return _fail(path, lineno, "entry line must be 'row col value'")
+            try:  # the accepting read's parser, so that both agree on what is malformed
+                i, j, value = np.loadtxt([line], dtype=_ENTRY, comments=None).item()
+            except ValueError:
+                return _fail(path, lineno, "malformed entry " + repr(line.rstrip("\n")))
+            if not math.isfinite(value):
+                return _fail(path, lineno, f"non-finite value {parts[2]!r}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                return _fail(path, lineno, f"entry ({i}, {j}) outside 1..{n}")
+            if (i, j) in seen:
+                return _fail(path, lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[(i, j)]}")
+            seen[(i, j)] = lineno
+    return _fail(path, max(seen.values(), default=size_lineno), f"expected {nnz} entries, found {len(seen)}")
 
 
 def read_vector(path) -> np.ndarray:

@@ -84,7 +84,8 @@ class SparseColumnMatrix:
         """Build from (row, col, value) triplets with 0-based indices.
 
         ``entries`` may also be a (k, 3) array. Zero values are dropped; a
-        non-finite value or a duplicated (row, col) position is an error.
+        non-finite value or a duplicated (row, col) position, zero or not, is
+        an error.
         """
         if n <= 0:
             raise ValueError("dimension must be positive")
@@ -102,14 +103,14 @@ class SparseColumnMatrix:
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"entry ({r[k]}, {c[k]}) outside the {n}x{n} matrix")
-        keep = v != 0.0
-        r, c, v = r[keep], c[keep], v[keep]
         order = np.lexsort((r, c))
         r, c, v = r[order], c[order], v[order]
         dup = (np.diff(c) == 0) & (np.diff(r) == 0)
-        if dup.any():
+        if dup.any():  # a stored zero counts: the position is given twice
             k = int(np.flatnonzero(dup)[0])
             raise ValueError(f"duplicate entry at (row {r[k]}, col {c[k]})")
+        keep = v != 0.0
+        r, c, v = r[keep], c[keep], v[keep]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=n))))
         return cls(n, indptr, r, v)
 

@@ -8,7 +8,7 @@ Four schemes over a square operator P:
 * GSa  -- Gauss-Seidel (affine) x[i] <- (P x)[i] + b[i], from 0
 
 The step functions are stateless and safe to call concurrently on distinct
-vectors; drivers are single-threaded.
+vectors.
 """
 
 from __future__ import annotations
@@ -17,19 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import StoppingRule
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector
 
 __all__ = [
     "SCHEME_KINDS",
     "SchemeSpec",
     "RowView",
-    "SchemeRun",
     "step_pi",
     "step_gsl",
     "step_jacobi",
     "step_gsa",
-    "run_scheme",
 ]
 
 SCHEME_KINDS = ("PI", "GSl", "Jac", "GSa")
@@ -137,68 +134,3 @@ def step_gsa(x, p: SparseColumnMatrix, b, i: int, row_view: RowView | None = Non
     base = row_view.row_dot(i, x) if row_view is not None else p.matvec(x)[i]
     out[i] = base + b[i]
     return out
-
-
-@dataclass
-class SchemeRun:
-    """Outcome of a driven scheme.
-
-    ``iteration_deltas[k]`` is l1(x after iteration k+1 - x before); for the
-    coordinate-level schemes one iteration means n coordinate updates.
-    """
-
-    x: np.ndarray
-    iteration_deltas: list[float]
-    converged: bool
-    updates: int
-    iterates: list[np.ndarray] | None = None
-
-
-def run_scheme(
-    spec: SchemeSpec,
-    stop: StoppingRule | None = None,
-    keep_iterates: bool = False,
-) -> SchemeRun:
-    """Drive a scheme until the per-iteration change drops to stop.tol.
-
-    ``stop.max_steps`` counts individual updates (coordinate updates for
-    GSl/GSa, vector steps for PI/Jac). Non-convergence is reported through
-    the flag, never an exception. ``keep_iterates`` stores a copy of x after
-    every update, for lockstep comparisons.
-    """
-    stop = stop or StoppingRule()
-    p = spec.matrix
-    n = p.n
-    x = spec.initial_vector()
-    deltas: list[float] = []
-    iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
-    row_view = RowView(p) if spec.coordinate_level else None
-    indices = spec.seq.iter_indices() if spec.coordinate_level else None
-
-    updates = 0
-    converged = False
-    per_iteration = n if spec.coordinate_level else 1
-    while updates + per_iteration <= stop.max_steps:
-        x_prev = x
-        if spec.kind == "PI":
-            x = step_pi(x, p)
-        elif spec.kind == "Jac":
-            x = step_jacobi(x, p, spec.b)
-        else:
-            for _ in range(n):
-                i = next(indices)
-                if spec.kind == "GSl":
-                    x = step_gsl(x, p, i, row_view)
-                else:
-                    x = step_gsa(x, p, spec.b, i, row_view)
-                if iterates is not None:
-                    iterates.append(x.copy())
-        updates += per_iteration
-        if iterates is not None and not spec.coordinate_level:
-            iterates.append(x.copy())
-        delta = float(np.abs(x - x_prev).sum())
-        deltas.append(delta)
-        if stop.tol is not None and delta <= stop.tol:
-            converged = True
-            break
-    return SchemeRun(x=x, iteration_deltas=deltas, converged=converged, updates=updates, iterates=iterates)

@@ -9,6 +9,7 @@ single test run.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -30,17 +31,18 @@ from fluidsolve import (
     load_case,
     pagerank_matrix,
     run_diffusion,
-    run_scheme,
     sigma,
     uniform_vector,
     verify_equivalence,
 )
 from fluidsolve.cli import cancellation_report, diffusion_form
 from helpers import (
+    ROOT,
     dense_gauss_seidel_residuals,
     fit_log_slope,
     random_signed_vector,
     random_substochastic,
+    run_scheme,
 )
 
 
@@ -331,6 +333,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             [sys.executable, "-m", "fluidsolve", *args, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out)

@@ -29,7 +29,7 @@ from fluidsolve.cli import (
     run_experiment,
     run_verification,
 )
-from helpers import engine_clu, fit_log_slope, perfbench_graphs, read_trace_csv
+from helpers import ROOT, engine_clu, fit_log_slope, perfbench_graphs, read_trace_csv
 
 CASE1_MM = """%%MatrixMarket matrix coordinate real general
 5 5 6
@@ -369,6 +369,7 @@ def test_column_sum_warning_shows_once(tmp_path):
     path = tmp_path / "sub.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 0.5\n1 2 0.5\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}  # the default filter
+    env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "fluidsolve", "custom", "--matrix", str(path), "--schemes", "PI,GSl",
          "--out", str(tmp_path / "out")],
@@ -385,6 +386,7 @@ def test_module_entry_point_is_deterministic(tmp_path):
             [sys.executable, "-m", "fluidsolve", "case", "case3", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
     for name in ("case3_PI.csv", "case3_GSl.csv", "case3_Jac.csv", "case3_GSa.csv"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -180,3 +181,37 @@ def test_warm_run_imports_neither_hashlib_nor_subprocess(graph, kernel_run, tmp_
     assert probe["kernel"] == ["True"]
     assert probe["modules"] == ["False", "False"]
     assert csvs == kernel_run[1]
+
+
+def test_concurrent_builds_write_distinct_temp_files(tmp_path, monkeypatch):
+    # Two threads of one process that build the kernel together must not share
+    # a temp file; cc is faked, and a barrier holds both builds open at once.
+    barrier = threading.Barrier(2, timeout=30)
+    outputs = []
+
+    def fake_cc(args, **kwargs):
+        out = Path(args[args.index("-o") + 1])
+        outputs.append(out)
+        barrier.wait()
+        out.write_bytes(b"built")
+        return subprocess.CompletedProcess(args, 0, b"", b"")
+
+    monkeypatch.setattr(subprocess, "run", fake_cc)
+    target = tmp_path / "cache" / "_clu-test.so"
+    errors = []
+
+    def build():
+        try:
+            _clu._compile(b"", target)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(outputs) == 2 and outputs[0] != outputs[1], outputs
+    assert errors == []
+    assert target.read_bytes() == b"built"
+    assert [p.name for p in target.parent.iterdir()] == [target.name]

@@ -20,7 +20,7 @@ from fluidsolve import (
     verify_equivalence,
 )
 from fluidsolve.equivalence import diffusion_form
-from helpers import random_signed_vector, random_substochastic
+from helpers import random_signed_vector, random_substochastic, run_scheme
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +227,6 @@ def test_fixed_point_agreement_across_schemes():
     m = case.q.scaled(case.d)
     b = 0.15 * uniform_vector(5)
     x_star = dense_solve_oracle(m, b)
-    from fluidsolve import StoppingRule, run_scheme
-
     jac = run_scheme(SchemeSpec("Jac", m, b=b), StoppingRule(tol=1e-13, max_steps=10**4))
     gsa = run_scheme(
         SchemeSpec("GSa", m, b=b, seq=UpdateSequence.round_robin(5)),

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fluidsolve import (
     ParseError,
+    SparseColumnMatrix,
     TraceRecord,
     format_float,
     load_case,
@@ -13,7 +15,9 @@ from fluidsolve import (
     write_trace_csv,
 )
 from fluidsolve.io import write_csv
+from helpers import perfbench_graphs
 
+HEADER = "%%MatrixMarket matrix coordinate real general\n"
 CASE1_MM = """%%MatrixMarket matrix coordinate real general
 % five-node cycle with a split at node 5
 5 5 6
@@ -99,6 +103,55 @@ class TestMatrixMarket:
         )
         with pytest.raises(ParseError, match=rf"nan.mtx:4: non-finite value '{value}'"):
             read_matrix_market(path)
+
+    def _read(self, tmp_path, text: str):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode())
+        return read_matrix_market(path)
+
+    def test_crlf_line_endings(self, tmp_path):
+        m = self._read(tmp_path, CASE1_MM.replace("\n", "\r\n"))
+        np.testing.assert_array_equal(m.to_dense(), load_case("case1").q.to_dense())
+
+    def test_comment_and_blank_lines_between_entries(self, tmp_path):
+        text = HEADER + "% c\n\n3 3 2\n  % between\n1 1 1.0\n\n \t \n%x\n3 2 0.5\n% last"
+        m = self._read(tmp_path, text)
+        np.testing.assert_array_equal(m.to_dense(), [[1.0, 0, 0], [0, 0, 0], [0, 0.5, 0]])
+
+    def test_tabs_as_separators(self, tmp_path):
+        m = self._read(tmp_path, HEADER + "2\t2\t2\n1\t1\t1.0\n \t2 \t1\t 0.5\t\n")
+        np.testing.assert_array_equal(m.to_dense(), [[1.0, 0.0], [0.5, 0.0]])
+
+    def test_no_entries_is_silent(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = self._read(tmp_path, HEADER + "3 3 0\n\n% nothing stored\n")
+        assert m.n == 3 and m.nnz == 0
+
+    def test_trailing_comment_on_entry_line_is_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r":4: entry line must be 'row col value'"):
+            self._read(tmp_path, HEADER + "2 2 2\n1 1 1.0\n2 1 0.5 % note\n")
+
+    def test_underscore_in_index_is_malformed(self, tmp_path):
+        with pytest.raises(ParseError, match=r":3: malformed entry '1_0 1 1.0'"):
+            self._read(tmp_path, HEADER + "20 20 1\n1_0 1 1.0\n")
+
+    def test_first_of_two_bad_lines_is_named(self, tmp_path):
+        with pytest.raises(ParseError, match=r":4: entry \(3, 1\) outside 1..2"):
+            self._read(tmp_path, HEADER + "2 2 3\n1 1 1.0\n3 1 1.0\n1 x 2.0\n")
+
+    def test_duplicate_stored_zero_is_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r":4: duplicate entry \(1, 1\), first seen on line 3"):
+            self._read(tmp_path, HEADER + "2 2 2\n1 1 0.0\n1 1 2.0\n")
+
+    def test_seeded_graph_reads_back_bitwise(self, tmp_path):
+        graphs = perfbench_graphs()
+        rows, cols, vals = graphs.make_graph(tmp_path / "g.mtx", 2000, 1)
+        m = read_matrix_market(tmp_path / "g.mtx")
+        ref = SparseColumnMatrix.from_entries(2000, np.column_stack((rows, cols, vals)))
+        for name in ("indptr", "rows", "vals"):
+            got, want = getattr(m, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 class TestVectorFile:

@@ -77,6 +77,10 @@ class TestSparseColumnMatrix:
         with pytest.raises(ValueError, match="duplicate"):
             SparseColumnMatrix.from_entries(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
+    def test_construction_rejects_a_duplicated_stored_zero(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseColumnMatrix.from_entries(2, [(0, 1, 0.0), (0, 1, 2.0)])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_construction_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite entry"):

@@ -13,7 +13,6 @@ from fluidsolve import (
     l1_norm,
     load_case,
     pagerank_matrix,
-    run_scheme,
     sigma,
     step_gsa,
     step_gsl,
@@ -21,7 +20,7 @@ from fluidsolve import (
     step_pi,
     uniform_vector,
 )
-from helpers import random_signed_vector, random_substochastic
+from helpers import random_signed_vector, random_substochastic, run_scheme
 
 
 @pytest.fixture(scope="module")

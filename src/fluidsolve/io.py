@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +44,19 @@ def _fail(path, lineno: int, message: str) -> "ParseError":
     return ParseError(f"{os.fspath(path)}:{lineno}: {message}")
 
 
+@contextlib.contextmanager
+def _strict_loadtxt():
+    """Make ``np.loadtxt`` reject an index such as ``2.5`` and read no lines without a warning.
+
+    numpy releases from 1.23 read ``2.5`` into an int64 field as 2 and only warn; turned
+    into an error, that warning reaches the caller as a ``ValueError``.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # nnz = 0
+        yield
+
+
 def read_matrix_market(path) -> SparseColumnMatrix:
     """Parse a square matrix in MatrixMarket coordinate real general format.
 
@@ -57,7 +71,9 @@ def read_matrix_market(path) -> SparseColumnMatrix:
         if len(header) != 5 or header[0] != "%%matrixmarket":
             raise _fail(path, 1, "missing '%%MatrixMarket' header line")
         if header[1:] != ["matrix", "coordinate", "real", "general"]:
-            raise _fail(path, 1, "unsupported format; only 'matrix coordinate real general' is accepted")
+            raise _fail(
+                path, 1, "unsupported format; only 'matrix coordinate real general' is accepted"
+            )
         for lineno, line in enumerate(fh, start=2):
             if not _SKIPPED.match(line):
                 break
@@ -75,10 +91,10 @@ def read_matrix_market(path) -> SparseColumnMatrix:
         if n <= 0 or nnz < 0:
             raise _fail(path, lineno, "dimensions must be positive")
 
-        # the "0 0 0" row, dropped again, keeps loadtxt from warning of no data when nnz = 0
-        lines = itertools.chain(itertools.filterfalse(_SKIPPED.match, fh), ["0 0 0"])
-        with contextlib.suppress(ValueError):  # a malformed line, or an entry from_entries rejects
-            i, j, v = (a[:-1] for a in np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True))
+        # a malformed line, or an entry that from_entries rejects, sends the file to the second read
+        with contextlib.suppress(ValueError), _strict_loadtxt():
+            lines = itertools.filterfalse(_SKIPPED.match, fh)
+            i, j, v = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
             if i.size == nnz:
                 return SparseColumnMatrix.from_entries(n, np.column_stack((i - 1, j - 1, v)))
     raise _first_bad_entry(path, lineno, n, nnz)
@@ -87,7 +103,7 @@ def read_matrix_market(path) -> SparseColumnMatrix:
 def _first_bad_entry(path, size_lineno: int, n: int, nnz: int) -> ParseError:
     """The error naming the first bad entry line; it never accepts the file."""
     seen: dict[tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _strict_loadtxt():
         for lineno, line in itertools.islice(enumerate(fh, start=1), size_lineno, None):
             if _SKIPPED.match(line):
                 continue
@@ -105,9 +121,12 @@ def _first_bad_entry(path, size_lineno: int, n: int, nnz: int) -> ParseError:
             if not (1 <= i <= n and 1 <= j <= n):
                 return _fail(path, lineno, f"entry ({i}, {j}) outside 1..{n}")
             if (i, j) in seen:
-                return _fail(path, lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[(i, j)]}")
+                return _fail(
+                    path, lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[(i, j)]}"
+                )
             seen[(i, j)] = lineno
-    return _fail(path, max(seen.values(), default=size_lineno), f"expected {nnz} entries, found {len(seen)}")
+    last = max(seen.values(), default=size_lineno)
+    return _fail(path, last, f"expected {nnz} entries, found {len(seen)}")
 
 
 def read_vector(path) -> np.ndarray:

@@ -132,9 +132,34 @@ class TestMatrixMarket:
         with pytest.raises(ParseError, match=r":4: entry line must be 'row col value'"):
             self._read(tmp_path, HEADER + "2 2 2\n1 1 1.0\n2 1 0.5 % note\n")
 
-    def test_underscore_in_index_is_malformed(self, tmp_path):
-        with pytest.raises(ParseError, match=r":3: malformed entry '1_0 1 1.0'"):
-            self._read(tmp_path, HEADER + "20 20 1\n1_0 1 1.0\n")
+    @pytest.mark.parametrize(
+        "entry", ["1_0 1 1.0", "1.0 1 1.0", "2.5 1 1.0", "1 1e0 1.0", "99999999999999999999 1 1.0"]
+    )
+    def test_index_that_is_not_an_int64_is_malformed(self, tmp_path, entry):
+        # n = 20, so an index read as 10, 1 or 2 would lie inside the matrix
+        with pytest.raises(ParseError, match=rf":3: malformed entry '{entry}'"):
+            self._read(tmp_path, HEADER + f"20 20 1\n{entry}\n")
+
+    def test_index_numpy_would_truncate_is_malformed(self, tmp_path, monkeypatch):
+        # numpy releases from 1.23 read "2.5" into an int64 field as 2 and only emit a
+        # DeprecationWarning; when that warning is an error they raise ValueError instead
+        real_loadtxt = np.loadtxt
+
+        def truncating_loadtxt(lines, *args, **kwargs):
+            rows = [line.split() for line in lines]
+            if any("." in tok for row in rows for tok in row[:2]):
+                try:
+                    warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+                except DeprecationWarning as exc:
+                    raise ValueError("could not convert string to int64") from exc
+            rows = [[str(int(float(t))) for t in row[:2]] + row[2:] for row in rows]
+            return real_loadtxt([" ".join(row) for row in rows], *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with pytest.raises(ParseError, match=r":4: malformed entry '2.5 1 1.0'"):
+            self._read(tmp_path, HEADER + "3 3 2\n1 1 1.0\n2.5 1 1.0\n")
+        m = self._read(tmp_path, HEADER + "3 3 2\n1 1 1.0\n2 1 1.0\n")
+        np.testing.assert_array_equal(m.to_dense()[:, 0], [1.0, 1.0, 0.0])
 
     def test_first_of_two_bad_lines_is_named(self, tmp_path):
         with pytest.raises(ParseError, match=r":4: entry \(3, 1\) outside 1..2"):

@@ -101,7 +101,8 @@ def _check(order, indptr, rows, vals, f, h, acc, delivered) -> None:
     if any(a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.size != size
            for a, dtype, size in layout):
         raise ValueError("arrays do not fit the coordinate-level kernel")
-    if order.size == 0 or indptr[0] != 0 or indptr[-1] != rows.size or (indptr[1:] < indptr[:-1]).any():
+    if (order.size == 0 or indptr[0] != 0 or indptr[-1] != rows.size
+            or (indptr[1:] < indptr[:-1]).any()):
         raise ValueError("empty update order, or indptr does not delimit the stored entries")
     # viewed as unsigned, a negative index wraps to a huge one and fails the same test
     if order.view(np.uint64).max() >= n or (rows.size and rows.view(np.uint64).max() >= n):

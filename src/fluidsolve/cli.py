@@ -420,7 +420,8 @@ def main(argv=None) -> int:
             worst = max(r.max_discrepancy for r in reports)
             for r in reports:
                 flag = "ok" if r.max_discrepancy <= 1e-10 else "FAIL"
-                print(f"{r.scheme:>12}: {r.steps:5d} steps, max discrepancy {r.max_discrepancy:.3e} [{flag}]")
+                print(f"{r.scheme:>12}: {r.steps:5d} steps, "
+                      f"max discrepancy {r.max_discrepancy:.3e} [{flag}]")
             print(f"report -> {csv_path}")
             return EXIT_OK if worst <= 1e-10 else EXIT_NOT_CONVERGED
 

@@ -206,7 +206,7 @@ class StoppingRule:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.tol is not None and self.tol <= 0.0:
+        if self.tol is not None and not self.tol > 0.0:
             raise ValueError("tol must be positive (or None)")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")

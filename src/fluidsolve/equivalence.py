@@ -245,7 +245,8 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
         if spec.coordinate_level:
             i = next(indices)
             diffuse_coordinate(state, p, i)
-            x = step_gsl(x, p, i, row_view) if spec.kind == "GSl" else step_gsa(x, p, spec.b, i, row_view)
+            x = (step_gsl(x, p, i, row_view) if spec.kind == "GSl"
+                 else step_gsa(x, p, spec.b, i, row_view))
         else:
             diffuse_vector(state, p)
             if spec.kind == "PI":

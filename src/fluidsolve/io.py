@@ -96,7 +96,7 @@ def read_matrix_market(path) -> SparseColumnMatrix:
             lines = itertools.filterfalse(_SKIPPED.match, fh)
             i, j, v = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
             if i.size == nnz:
-                return SparseColumnMatrix.from_entries(n, np.column_stack((i - 1, j - 1, v)))
+                return SparseColumnMatrix.from_entries(n, i - 1, j - 1, v)
     raise _first_bad_entry(path, lineno, n, nnz)
 
 

@@ -13,7 +13,7 @@ internal locking anywhere.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,45 +66,42 @@ class SparseColumnMatrix:
     All arithmetic is 64-bit floating point.
     """
 
-    __slots__ = ("n", "indptr", "rows", "vals", "cols", "_col_l1")
+    __slots__ = ("n", "indptr", "rows", "cols", "vals")
 
-    def __init__(self, n: int, indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+    def __init__(self, n: int, indptr, rows, cols, vals):
         self.n = int(n)
         self.indptr = indptr
         self.rows = rows
+        self.cols = cols  # flat column index of every stored entry (entries are column-sorted)
         self.vals = vals
-        # Flat column index of every stored entry (entries are column-sorted).
-        self.cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        self._col_l1 = np.bincount(self.cols, weights=np.abs(vals), minlength=self.n)
 
     @classmethod
-    def from_entries(
-        cls, n: int, entries: Iterable[tuple[int, int, float]]
-    ) -> "SparseColumnMatrix":
-        """Build from (row, col, value) triplets with 0-based indices.
+    def from_entries(cls, n: int, rows, cols, vals) -> "SparseColumnMatrix":
+        """Build from 0-based coordinate arrays: ``vals[k]`` sits at (``rows[k]``, ``cols[k]``).
 
-        ``entries`` may also be a (k, 3) array. Zero values are dropped; a
-        non-finite value or a duplicated (row, col) position, zero or not, is
-        an error.
+        The three arrays are 1-D and of one length, and ``rows`` and ``cols`` have an
+        integer dtype: a float index is rejected, never rounded. Zero values are dropped;
+        a non-finite value, an index outside the matrix or a duplicated (row, col)
+        position, zero or not, is an error.
         """
         if n <= 0:
             raise ValueError("dimension must be positive")
-        if not isinstance(entries, np.ndarray):
-            entries = list(entries)
-        t = np.asarray(entries, dtype=np.float64).reshape(-1, 3)
-        bad = np.flatnonzero(~np.isfinite(t).all(axis=1))
+        r, c, v = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=np.float64)
+        if r.dtype.kind not in "iu" or c.dtype.kind not in "iu":
+            raise TypeError(f"indices need an integer dtype, got {r.dtype} and {c.dtype}")
+        if not (r.ndim == 1 and r.shape == c.shape == v.shape):
+            raise ValueError(f"need 1-D arrays of one length, got {r.shape} {c.shape} {v.shape}")
+        bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
-            i, j, v = t[bad[0]]
-            raise ValueError(f"non-finite entry {v} at ({i:g}, {j:g})")
-        r = t[:, 0].astype(np.int64)
-        c = t[:, 1].astype(np.int64)
-        v = t[:, 2]
+            k = int(bad[0])
+            raise ValueError(f"non-finite entry {v[k]} at ({r[k]}, {c[k]})")
         bad = np.flatnonzero((r < 0) | (r >= n) | (c < 0) | (c >= n))
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"entry ({r[k]}, {c[k]}) outside the {n}x{n} matrix")
         order = np.lexsort((r, c))
-        r, c, v = r[order], c[order], v[order]
+        r, c = (a[order].astype(np.int64, copy=False) for a in (r, c))
+        v = v[order]
         dup = (np.diff(c) == 0) & (np.diff(r) == 0)
         if dup.any():  # a stored zero counts: the position is given twice
             k = int(np.flatnonzero(dup)[0])
@@ -112,7 +109,7 @@ class SparseColumnMatrix:
         keep = v != 0.0
         r, c, v = r[keep], c[keep], v[keep]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=n))))
-        return cls(n, indptr, r, v)
+        return cls(n, indptr, r, c, v)
 
     @classmethod
     def from_dense(cls, a) -> "SparseColumnMatrix":
@@ -120,15 +117,16 @@ class SparseColumnMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square 2-D array, got shape {a.shape}")
         i, j = np.nonzero(a)
-        return cls.from_entries(a.shape[0], np.column_stack((i, j, a[i, j])))
+        return cls.from_entries(a.shape[0], i, j, a[i, j])
 
     @classmethod
     def identity(cls, n: int) -> "SparseColumnMatrix":
-        return cls.from_entries(n, ((i, i, 1.0) for i in range(n)))
+        i = np.arange(n)
+        return cls.from_entries(n, i, i, np.ones(i.size))
 
     @classmethod
     def zero(cls, n: int) -> "SparseColumnMatrix":
-        return cls.from_entries(n, ())
+        return cls.from_entries(n, np.empty(0, np.int64), np.empty(0, np.int64), [])
 
     @property
     def nnz(self) -> int:
@@ -142,13 +140,11 @@ class SparseColumnMatrix:
         return self.rows[lo:hi], self.vals[lo:hi]
 
     def col_nnz(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise ValueError(f"column {j} out of range for dimension {self.n}")
-        return int(self.indptr[j + 1] - self.indptr[j])
+        return self.column(j)[0].size
 
     def column_l1_norms(self) -> np.ndarray:
-        """All column absolute sums (copy)."""
-        return self._col_l1.copy()
+        """All column absolute sums (a fresh array)."""
+        return np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.n)
 
     def matvec(self, v) -> np.ndarray:
         """Matrix-vector product: every stored entry scaled by its column's v_j."""
@@ -157,12 +153,15 @@ class SparseColumnMatrix:
         return np.bincount(self.rows, weights=per_entry, minlength=self.n)
 
     def scaled(self, factor: float) -> "SparseColumnMatrix":
-        """New matrix with every stored value multiplied by ``factor``."""
+        """``factor`` times this matrix; only the values are new.
+
+        The result shares this matrix's ``indptr``, ``rows`` and ``cols`` arrays, which
+        no matrix ever mutates. A zero factor gives the zero matrix (zeros are not stored).
+        """
         if factor == 0.0:
             return SparseColumnMatrix.zero(self.n)
-        return SparseColumnMatrix(
-            self.n, self.indptr.copy(), self.rows.copy(), self.vals * float(factor)
-        )
+        return SparseColumnMatrix(self.n, self.indptr, self.rows, self.cols,
+                                  self.vals * float(factor))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -182,43 +181,41 @@ class UpdateSequence:
     construction otherwise).
     """
 
-    __slots__ = ("kind", "n", "_indices")
+    __slots__ = ("kind", "n", "_period")
 
-    def __init__(self, kind: str, n: int, indices: tuple[int, ...] | None = None):
+    def __init__(self, kind: str, n: int, period: np.ndarray):
         if n <= 0:
             raise ValueError("dimension must be positive")
         self.kind = kind
         self.n = int(n)
-        self._indices = indices
+        self._period = period
 
     @classmethod
     def round_robin(cls, n: int) -> "UpdateSequence":
         """0, 1, ..., n-1, 0, 1, ... — every window of n outputs is a permutation."""
-        return cls("round_robin", n)
+        return cls("round_robin", n, np.arange(n, dtype=np.int64))
 
     @classmethod
     def explicit(cls, n: int, indices: Sequence[int]) -> "UpdateSequence":
-        """Replay ``indices`` cyclically; must cover every coordinate."""
-        idx = tuple(int(i) for i in indices)
-        for i in idx:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for dimension {n}")
-        missing = set(range(n)) - set(idx)
-        if missing:
-            raise ValueError(
-                f"unfair sequence: coordinates {sorted(missing)} never appear"
-            )
-        return cls("explicit_list", n, indices=idx)
+        """Replay integer ``indices`` cyclically; they must cover every coordinate."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise TypeError(f"expected 1-D integer indices, got {idx.dtype} of shape {idx.shape}")
+        bad = np.flatnonzero((idx < 0) | (idx >= n))
+        if bad.size:
+            raise ValueError(f"index {idx[bad[0]]} out of range for dimension {n}")
+        missing = np.setdiff1d(np.arange(n), idx)
+        if missing.size:
+            raise ValueError(f"unfair sequence: coordinates {missing.tolist()} never appear")
+        return cls("explicit_list", n, idx.astype(np.int64))
 
     def period(self) -> np.ndarray:
         """One period of the sequence as a fresh int64 array; the stream repeats it."""
-        if self.kind == "round_robin":
-            return np.arange(self.n, dtype=np.int64)
-        return np.array(self._indices, dtype=np.int64)
+        return self._period.copy()
 
     def iter_indices(self) -> Iterator[int]:
         """Fresh infinite iterator over the sequence."""
-        return itertools.cycle(self.period().tolist())
+        return itertools.cycle(self._period.tolist())
 
     def take(self, k: int) -> list[int]:
         """First ``k`` indices of a fresh iteration."""

@@ -36,7 +36,7 @@ def perfbench_graphs():
 def seeded_link_matrix(n: int, seed: int) -> SparseColumnMatrix:
     """Q of the benchmark's seeded out-degree-8 graph."""
     rows, cols, vals = perfbench_graphs().link_matrix(n, seed)
-    return SparseColumnMatrix.from_entries(n, np.column_stack((rows, cols, vals)))
+    return SparseColumnMatrix.from_entries(n, rows, cols, vals)
 
 
 def engine_clu(m: SparseColumnMatrix, f0, seq, steps: int):

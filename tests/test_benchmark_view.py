@@ -6,6 +6,7 @@ in a fresh interpreter fails as soon as one of those names is deleted or
 renamed, so this test guards the benchmark's view of the program.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,9 +15,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_tracer_installs():
-    code = "import sys; sys.path.insert(0, 'perfbench'); from tracer import Recorder; Recorder().install()"
+INSTALL = ("import sys; sys.path.insert(0, 'perfbench'); from tracer import Recorder; "
+           "rec = Recorder(); rec.install()")
+
+
+def _traced(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", f"{INSTALL}\n{code}", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_benchmark_tracer_installs():
+    _traced("")
+
+
+def test_traced_read_counts_every_entry_into_the_build(tmp_path):
+    # linalg.from_entries.ns_per_nnz divides by this counter: a hook that no longer
+    # matches the build's signature would leave it at 0 and report the layer as free
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 4\n"
+                    "1 1 0.5\n2 1 0.5\n3 2 1.0\n1 3 1.0\n")
+    code = ("import json, fluidsolve; fluidsolve.read_matrix_market(sys.argv[1]); "
+            "print(json.dumps(rec.counters))")
+    counters = json.loads(_traced(code, str(path)).stdout)
+    assert counters["linalg.from_entries.nnz"] == 4
+    assert counters["io.read_matrix_market.nnz"] == 4

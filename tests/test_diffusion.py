@@ -432,5 +432,7 @@ def test_stopping_rule_validation():
     with pytest.raises(ValueError):
         StoppingRule(tol=0.0)
     with pytest.raises(ValueError):
+        StoppingRule(tol=float("nan"))
+    with pytest.raises(ValueError):
         StoppingRule(max_steps=-1)
     assert StoppingRule(tol=None).tol is None

@@ -125,7 +125,7 @@ class TestPagerankDecompose:
         assert caught[0].filename == __file__
 
     def test_warning_prints_the_norm_as_a_plain_number(self):
-        huge = SparseColumnMatrix.from_entries(2, [(0, 0, 1e300), (1, 1, 1.0)])
+        huge = SparseColumnMatrix.from_entries(2, [0, 1], [0, 1], [1e300, 1.0])
         with pytest.warns(UserWarning) as caught:
             pagerank_decompose(huge, 0.85, uniform_vector(2))
         message = str(caught[0].message)

@@ -173,7 +173,7 @@ class TestMatrixMarket:
         graphs = perfbench_graphs()
         rows, cols, vals = graphs.make_graph(tmp_path / "g.mtx", 2000, 1)
         m = read_matrix_market(tmp_path / "g.mtx")
-        ref = SparseColumnMatrix.from_entries(2000, np.column_stack((rows, cols, vals)))
+        ref = SparseColumnMatrix.from_entries(2000, rows, cols, vals)
         for name in ("indptr", "rows", "vals"):
             got, want = getattr(m, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from fluidsolve import (
     sigma,
     uniform_vector,
 )
-from helpers import dense_matvec, random_signed_vector, random_substochastic
+from helpers import dense_matvec, random_signed_vector, random_substochastic, seeded_link_matrix
 
 
 @st.composite
@@ -31,7 +33,8 @@ def matrix_and_vectors(draw, max_n=8, n_vectors=1):
             max_size=len(positions),
         )
     )
-    m = SparseColumnMatrix.from_entries(n, [(i, j, v) for (i, j), v in zip(positions, values)])
+    rows, cols = np.array(positions, dtype=np.int64).reshape(-1, 2).T
+    m = SparseColumnMatrix.from_entries(n, rows, cols, np.array(values))
     vectors = [
         np.array(draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=n, max_size=n)))
         for _ in range(n_vectors)
@@ -71,22 +74,37 @@ class TestSparseColumnMatrix:
 
     def test_construction_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            SparseColumnMatrix.from_entries(2, [(2, 0, 1.0)])
+            SparseColumnMatrix.from_entries(2, [2], [0], [1.0])
 
     def test_construction_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SparseColumnMatrix.from_entries(2, [(0, 1, 1.0), (0, 1, 2.0)])
+            SparseColumnMatrix.from_entries(2, [0, 0], [1, 1], [1.0, 2.0])
 
     def test_construction_rejects_a_duplicated_stored_zero(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SparseColumnMatrix.from_entries(2, [(0, 1, 0.0), (0, 1, 2.0)])
+            SparseColumnMatrix.from_entries(2, [0, 0], [1, 1], [0.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_construction_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite entry"):
-            SparseColumnMatrix.from_entries(2, [(0, 0, 1.0), (1, 0, bad)])
+            SparseColumnMatrix.from_entries(2, [0, 1], [0, 0], [1.0, bad])
         with pytest.raises(ValueError, match="non-finite entry"):
             SparseColumnMatrix.from_dense([[1.0, 0.0], [bad, 0.0]])
+
+    @pytest.mark.parametrize("index", [[1.9], np.array([1.0])], ids=["list", "array"])
+    def test_construction_rejects_float_indices(self, index):
+        # a float index is rejected, not truncated: [1.9] once stored the entry at 1
+        with pytest.raises(TypeError, match="integer dtype"):
+            SparseColumnMatrix.from_entries(2, index, [0], [1.0])
+        with pytest.raises(TypeError, match="integer dtype"):
+            SparseColumnMatrix.from_entries(2, [0], index, [1.0])
+
+    @pytest.mark.parametrize("rows, cols, vals", [
+        ([0, 1], [0], [1.0]), ([0], [0, 1], [1.0]), ([0], [0], [1.0, 2.0]),
+    ])
+    def test_construction_rejects_mismatched_lengths(self, rows, cols, vals):
+        with pytest.raises(ValueError, match="one length"):
+            SparseColumnMatrix.from_entries(2, rows, cols, vals)
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_and_vectors(), st.randoms(use_true_random=False))
@@ -99,16 +117,16 @@ class TestSparseColumnMatrix:
                 dense[m.rows[k], j] = m.vals[k]
         np.testing.assert_array_equal(m.to_dense(), dense)
         np.testing.assert_array_equal(m.column_l1_norms(), np.abs(dense).sum(axis=0))
-        entries = [(i, j, dense[i, j]) for i in range(m.n) for j in range(m.n)]
-        rnd.shuffle(entries)
+        order = list(range(m.n * m.n))  # every position once, stored zeros included, shuffled
+        rnd.shuffle(order)
+        rows, cols = np.divmod(np.array(order, dtype=np.int64), m.n)
         for rebuilt in (SparseColumnMatrix.from_dense(dense),
-                        SparseColumnMatrix.from_entries(m.n, entries)):
-            np.testing.assert_array_equal(rebuilt.indptr, m.indptr)
-            np.testing.assert_array_equal(rebuilt.rows, m.rows)
-            np.testing.assert_array_equal(rebuilt.vals, m.vals)
+                        SparseColumnMatrix.from_entries(m.n, rows, cols, dense[rows, cols])):
+            for name in ("indptr", "rows", "cols", "vals"):
+                np.testing.assert_array_equal(getattr(rebuilt, name), getattr(m, name), name)
 
     def test_construction_drops_stored_zeros(self):
-        m = SparseColumnMatrix.from_entries(3, [(0, 0, 0.0), (1, 0, 2.0)])
+        m = SparseColumnMatrix.from_entries(3, [0, 1], [0, 0], [0.0, 2.0])
         assert m.nnz == 1
         assert m.col_nnz(0) == 1
 
@@ -121,9 +139,30 @@ class TestSparseColumnMatrix:
 
     def test_scaled(self):
         q = load_case("case1").q
+        vals = q.vals.copy()
         m = q.scaled(0.85)
         np.testing.assert_allclose(m.to_dense(), 0.85 * q.to_dense(), rtol=0, atol=0)
         assert q.scaled(0.0).nnz == 0
+        for name in ("indptr", "rows", "cols"):  # shared with the source, not copied
+            assert np.shares_memory(getattr(m, name), getattr(q, name)), name
+        assert not np.shares_memory(m.vals, q.vals)
+        np.testing.assert_array_equal(q.vals, vals)
+        np.testing.assert_array_equal(m.vals, 0.85 * vals)
+        np.testing.assert_allclose(m.column_l1_norms(), 0.85 * q.column_l1_norms(),
+                                   rtol=1e-15, atol=0)
+
+    def test_scaled_allocates_only_vals(self):
+        q = seeded_link_matrix(2000, 1)
+        tracemalloc.start()
+        try:
+            m = q.scaled(0.85)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.nnz == q.nnz == 16000
+        # one float64 per stored entry, plus the object itself; a copy of rows or
+        # cols alone would add another 128,000 bytes
+        assert q.vals.nbytes <= allocated < q.vals.nbytes + 4096
 
 
 class TestVectorHelpers:
@@ -161,10 +200,20 @@ class TestUpdateSequence:
     def test_explicit_rejects_unfair_list(self):
         with pytest.raises(ValueError, match="unfair"):
             UpdateSequence.explicit(2, [0, 0])
+        with pytest.raises(ValueError, match=r"unfair sequence: coordinates \[1, 3\] never appear"):
+            UpdateSequence.explicit(4, [2, 0, 2])
+
+    @pytest.mark.parametrize("indices", [[0, 1, 2.5], np.array([0.0, 1.0, 2.0])])
+    def test_explicit_rejects_float_indices(self, indices):
+        # a float index is rejected, not truncated: [0, 1, 2.5] once replayed as [0, 1, 2]
+        with pytest.raises(TypeError, match="integer indices"):
+            UpdateSequence.explicit(3, indices)
 
     def test_explicit_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="index 2 out of range for dimension 2"):
             UpdateSequence.explicit(2, [0, 2])
+        with pytest.raises(ValueError, match="index -1 out of range"):
+            UpdateSequence.explicit(2, [0, -1, 1])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 30))

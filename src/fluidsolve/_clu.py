@@ -1,18 +1,28 @@
-"""Coordinate-level step function: the compiled kernel ``_clu.c`` or its Python twin.
+"""Diffusion step functions: the compiled kernel ``_clu.c``, or what runs without it.
 
-:func:`load` returns ``bind(order, indptr, rows, vals, f, h, acc, delivered)``,
-which ties the step function of ``_clu.c`` to one run's arrays and returns
-``steps(k, pos, stop_at) -> taken`` (``fluidsolve_clu_steps`` documents the
-contract). Binding once per run keeps a call at about 2 us, so a run may make
-one call per trace window even when the window is a single step.
+:func:`load` returns a :class:`Kernels` pair of ``bind`` functions, each of
+which ties a step function of ``_clu.c`` to one run's arrays:
+
+* ``clu(order, indptr, rows, vals, f, h, acc, delivered)`` returns
+  ``steps(k, pos, stop_at) -> taken`` (``fluidsolve_clu_steps`` documents the
+  contract);
+* ``vlu(rows, cols, vals, f, h)`` returns ``steps(k, stop_at) -> rows``, the
+  (residual, cancelled, contracted) row of each step taken
+  (``fluidsolve_vlu_steps``).
+
+Binding once per run checks the arrays once and keeps a call at about 2 us,
+so a run may make one call per trace window even when the window is a
+single step.
 
 The C source is compiled on first use with ``cc`` into
 ``$XDG_CACHE_HOME/fluidsolve`` (default ``~/.cache/fluidsolve``), under a
 name keyed by the source and the compiler flags, and loaded with ``ctypes``.
 A missing compiler, a failed build or a cache directory that cannot be
-written selects :func:`bind_py` instead. It binds :func:`steps_py`, the same
-step function in Python, which gives bitwise the same results two orders
-of magnitude more slowly.
+written selects :data:`FALLBACK` instead. Its ``clu`` is :func:`bind_py`,
+which binds :func:`steps_py`, the same step function in Python: bitwise the
+same results two orders of magnitude more slowly. Its ``vlu`` is None: the
+driver then calls ``diffusion.diffuse_vector``, the reference engine that the
+kernel matches bitwise, once per step.
 """
 
 from __future__ import annotations
@@ -23,12 +33,15 @@ import os
 import tempfile
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_clu.c")
 # -ffp-contract=off: a fused multiply-add would change the bits of old + fl*v.
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Most vector-level steps one call runs: the size of the buffer their rows go to.
+STRETCH = 256
 
 
 def steps_py(order, columns, f, h, acc, delivered, k, pos, stop_at):
@@ -92,33 +105,69 @@ def bind_py(order, indptr, rows, vals, f, h, acc, delivered):
     return functools.partial(steps_py, order.tolist(), columns, f.data, h.data, acc, delivered)
 
 
-def _check(order, indptr, rows, vals, f, h, acc, delivered) -> None:
-    """Raise unless the arrays are what the kernel's pointers assume."""
-    n = f.size
-    layout = ((order, np.int64, order.size), (indptr, np.int64, n + 1), (rows, np.int64, rows.size),
-              (vals, np.float64, rows.size), (f, np.float64, n), (h, np.float64, n),
-              (acc, np.float64, 5), (delivered, np.int64, 1))
+def _fit(layout, what: str) -> None:
+    """Raise unless every (array, dtype, size) of ``layout`` is a 1-D C-contiguous match."""
     if any(a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous or a.size != size
            for a, dtype, size in layout):
-        raise ValueError("arrays do not fit the coordinate-level kernel")
+        raise ValueError(f"arrays do not fit the {what} kernel")
+
+
+def _in_range(index, n: int) -> bool:
+    # viewed as unsigned, a negative index wraps to a huge one and fails the same test
+    return index.size == 0 or index.view(np.uint64).max() < n
+
+
+def _check_clu(order, indptr, rows, vals, f, h, acc, delivered) -> None:
+    """Raise unless the arrays are what ``fluidsolve_clu_steps``'s pointers assume."""
+    n = f.size
+    _fit(((order, np.int64, order.size), (indptr, np.int64, n + 1), (rows, np.int64, rows.size),
+          (vals, np.float64, rows.size), (f, np.float64, n), (h, np.float64, n),
+          (acc, np.float64, 5), (delivered, np.int64, 1)), "coordinate-level")
     if (order.size == 0 or indptr[0] != 0 or indptr[-1] != rows.size
             or (indptr[1:] < indptr[:-1]).any()):
         raise ValueError("empty update order, or indptr does not delimit the stored entries")
-    # viewed as unsigned, a negative index wraps to a huge one and fails the same test
-    if order.view(np.uint64).max() >= n or (rows.size and rows.view(np.uint64).max() >= n):
+    if not (_in_range(order, n) and _in_range(rows, n)):
         raise ValueError("index out of range for the coordinate-level kernel")
 
 
-def _bind_kernel(fn):
+def _check_vlu(rows, cols, vals, f, h) -> None:
+    """Raise unless the arrays are what ``fluidsolve_vlu_steps``'s pointers assume."""
+    n = f.size
+    _fit(((rows, np.int64, rows.size), (cols, np.int64, rows.size), (vals, np.float64, rows.size),
+          (f, np.float64, n), (h, np.float64, n)), "vector-level")
+    if not (_in_range(rows, n) and _in_range(cols, n)):
+        raise ValueError("index out of range for the vector-level kernel")
+
+
+def _bind_clu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
     def bind(order, indptr, rows, vals, f, h, acc, delivered):
         arrays = (order, indptr, rows, vals, f, h, acc, delivered)
-        _check(*arrays)
+        _check_clu(*arrays)
         ptrs = [order.ctypes.data, order.size, *(a.ctypes.data for a in arrays[1:])]
 
         def steps(k, pos, stop_at):
             return fn(k, pos, stop_at, *ptrs)
+
+        steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
+        return steps
+
+    return bind
+
+
+def _bind_vlu(fn):
+    """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
+
+    def bind(rows, cols, vals, f, h):
+        _check_vlu(rows, cols, vals, f, h)
+        scratch, out = np.empty(2 * f.size), np.empty((STRETCH, 3))
+        arrays = (rows, cols, vals, f, h, scratch, out)
+        ptrs = [f.size, rows.size, *(a.ctypes.data for a in arrays)]
+
+        def steps(k, stop_at):
+            """Run up to min(k, STRETCH) steps; return their [residual, cancelled, contracted]."""
+            return out[:fn(min(k, STRETCH), stop_at, *ptrs)].tolist()
 
         steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
         return steps
@@ -148,9 +197,19 @@ def _compile(source: bytes, target: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+class Kernels(NamedTuple):
+    """The ``bind`` functions of the module docstring; ``vlu`` is None without a compiler."""
+
+    clu: Callable
+    vlu: Callable | None
+
+
+FALLBACK = Kernels(bind_py, None)
+
+
 @functools.cache
-def load():
-    """``bind`` for the compiled kernel, or :func:`bind_py` when it cannot be built."""
+def load() -> Kernels:
+    """The compiled kernels, or :data:`FALLBACK` when they cannot be built."""
     source = SOURCE.read_bytes()
     key = zlib.crc32(" ".join(CFLAGS).encode(), zlib.crc32(source))
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fluidsolve"
@@ -158,10 +217,12 @@ def load():
     try:
         if not target.exists():
             _compile(source, target)
-        fn = ctypes.CDLL(str(target)).fluidsolve_clu_steps
+        lib = ctypes.CDLL(str(target))
     except OSError:  # no cc, a failed build, a cache directory that cannot be written
-        return bind_py
-    ptr = ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ptr, ctypes.c_int64, *[ptr] * 7]
-    fn.restype = ctypes.c_int64
-    return _bind_kernel(fn)
+        return FALLBACK
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    clu, vlu = lib.fluidsolve_clu_steps, lib.fluidsolve_vlu_steps
+    clu.argtypes = [i64, i64, ctypes.c_double, ptr, i64, *[ptr] * 7]
+    vlu.argtypes = [i64, ctypes.c_double, i64, i64, *[ptr] * 7]
+    clu.restype = vlu.restype = i64
+    return Kernels(_bind_clu(clu), _bind_vlu(vlu))

@@ -31,8 +31,11 @@ overflowed to inf or became NaN), or a failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import linecache
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -399,6 +402,28 @@ def _report_experiment(result: ExperimentResult) -> int:
     return worst
 
 
+@contextlib.contextmanager
+def _warnings_about(path):
+    """Show the warnings of the block as being about the input file ``path``.
+
+    A warning names the first frame outside the package, which for
+    ``python -m fluidsolve`` is runpy's (``<frozen runpy>:88``), not the input.
+    Each distinct warning the filters let through is issued again, once, when
+    the block ends. Distinct, because the filters' once-per-location memory
+    is reset by any ``catch_warnings`` in between, such as the one in
+    ``os.get_exec_path`` when the kernel is built.
+    """
+    name = str(path)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        for w in {(str(w.message), w.category): w for w in caught}.values():
+            # an input file has no line to quote: an empty cache entry spares reading all of it
+            linecache.cache.setdefault(name, (0, None, [], name))
+            warnings.warn_explicit(w.message, w.category, name, 0)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -408,9 +433,10 @@ def main(argv=None) -> int:
 
         if args.command == "custom":
             cfg = _config_from_args(args)
-            result = run_custom(
-                args.matrix, cfg, b_path=args.b, x0_path=args.x0, d=args.d, name=args.name
-            )
+            with _warnings_about(args.matrix):
+                result = run_custom(
+                    args.matrix, cfg, b_path=args.b, x0_path=args.x0, d=args.d, name=args.name
+                )
             return _report_experiment(result)
 
         if args.command == "verify":

@@ -35,10 +35,12 @@ Each step also splits the L1 mass that left F into two causes:
 
 :func:`diffuse_coordinate` and :func:`diffuse_vector` are the per-step
 engine, the reference for everything else. :func:`run_diffusion` drives
-vector-level runs through :func:`diffuse_vector` and coordinate-level runs
-through a compiled step function (``_clu.c``, with a Python twin when no
-compiler is available) that reproduces :func:`diffuse_coordinate` bitwise
-in F and H, keeping one trace row per window of steps.
+both kinds of run through compiled step functions (``_clu.c``). The
+vector-level one reproduces :func:`diffuse_vector` bitwise in F, H and
+every row, and without a compiler the driver calls :func:`diffuse_vector`
+itself. The coordinate-level one reproduces :func:`diffuse_coordinate`
+bitwise in F and H, has a Python twin for use without a compiler, and
+keeps one trace row per window of steps.
 
 The state and every row the engine records hold the exact l1(F), that is
 ``np.abs(F).sum()`` after the step. Only the coordinate-level driver keeps
@@ -283,12 +285,37 @@ def run_diffusion(
         return DiffusionRun(state, status)
     if mode == "clu":
         return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
-    while state.step < stop.max_steps:
-        diffuse_vector(state, m)
+    return DiffusionRun(state, _run_vlu(state, m, stop))
+
+
+def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:
+    """Vector-level steps; mutates ``state``, returns the status.
+
+    The compiled step function from :mod:`._clu` runs them in stretches,
+    updating F and H in place and returning each step's row; it performs the
+    operations of :func:`diffuse_vector` in numpy's order, so every row, F
+    and H are bitwise what that many calls give, and recording the rows in
+    step order gives the same totals. Without a compiler the steps are
+    :func:`diffuse_vector` itself.
+    """
+    bind = _clu.load().vlu
+    status = "budget"
+    if bind is None:
+        while status == "budget" and state.step < stop.max_steps:
+            diffuse_vector(state, m)
+            status = _status(state.trace[-1].residual_l1, stop.tol)
+        return status
+    steps = bind(np.ascontiguousarray(m.rows, dtype=np.int64),
+                 np.ascontiguousarray(m.cols, dtype=np.int64),
+                 np.ascontiguousarray(m.vals, dtype=np.float64), state.f, state.h)
+    stop_at = -1.0 if stop.tol is None else stop.tol
+    while status == "budget" and state.step < stop.max_steps:
+        for row in steps(stop.max_steps - state.step, stop_at):
+            state.step += 1
+            state.delivered += m.nnz
+            state.record(*row)
         status = _status(state.trace[-1].residual_l1, stop.tol)
-        if status != "budget":
-            break
-    return DiffusionRun(state, status)
+    return status
 
 
 def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
@@ -314,10 +341,10 @@ def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
     # running residual, window cancelled, window contracted, total cancelled, total contracted
     acc = np.array([state.residual_l1(), 0.0, 0.0, state.total_cancelled, state.total_contracted])
     delivered = np.array([state.delivered], dtype=np.int64)
-    steps = _clu.load()(order, np.ascontiguousarray(m.indptr, dtype=np.int64),
-                        np.ascontiguousarray(m.rows, dtype=np.int64),
-                        np.ascontiguousarray(m.vals, dtype=np.float64),
-                        state.f, state.h, acc, delivered)
+    steps = _clu.load().clu(order, np.ascontiguousarray(m.indptr, dtype=np.int64),
+                            np.ascontiguousarray(m.rows, dtype=np.int64),
+                            np.ascontiguousarray(m.vals, dtype=np.float64),
+                            state.f, state.h, acc, delivered)
     status = "budget"
     step = state.step  # 0: run_diffusion starts every run afresh
     while status == "budget" and step < stop.max_steps:

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# Largest dimension whose sort key (n-1)*n + (n-1) = n*n - 1 fits in int64.
+MAX_N = 3_037_000_499
+
+
 def as_vector(values, n: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 array, optionally checking its length."""
     v = np.asarray(values, dtype=np.float64)
@@ -86,6 +90,8 @@ class SparseColumnMatrix:
         """
         if n <= 0:
             raise ValueError("dimension must be positive")
+        if n > MAX_N:
+            raise ValueError(f"dimension {n} is over {MAX_N}: the sort key would overflow int64")
         r, c, v = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=np.float64)
         if r.dtype.kind not in "iu" or c.dtype.kind not in "iu":
             raise TypeError(f"indices need an integer dtype, got {r.dtype} and {c.dtype}")
@@ -99,15 +105,18 @@ class SparseColumnMatrix:
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"entry ({r[k]}, {c[k]}) outside the {n}x{n} matrix")
-        order = np.lexsort((r, c))
-        r, c = (a[order].astype(np.int64, copy=False) for a in (r, c))
-        v = v[order]
+        r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
+        # one stable sort on the column-major position gives lexsort's order, and it is
+        # fast on input already sorted by column
+        order = np.argsort(c * n + r, kind="stable")
+        r, c, v = r[order], c[order], v[order]
         dup = (np.diff(c) == 0) & (np.diff(r) == 0)
         if dup.any():  # a stored zero counts: the position is given twice
             k = int(np.flatnonzero(dup)[0])
             raise ValueError(f"duplicate entry at (row {r[k]}, col {c[k]})")
         keep = v != 0.0
-        r, c, v = r[keep], c[keep], v[keep]
+        if not keep.all():
+            r, c, v = r[keep], c[keep], v[keep]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=n))))
         return cls(n, indptr, r, c, v)
 

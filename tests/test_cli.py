@@ -365,18 +365,35 @@ class TestWindowedTraceRows:
                 assert resid == pytest.approx(exact[7 * step], rel=1e-12, abs=1e-16)
 
 
-def test_column_sum_warning_shows_once(tmp_path):
+def _custom_on_substochastic(tmp_path) -> subprocess.CompletedProcess:
+    """``python -m fluidsolve custom`` on sub.mtx, whose column 0 sums to 0.5.
+
+    The kernel cache starts empty, so the run builds the kernel (or fails to)
+    between the PI and the GSl warning, as a first run does.
+    """
     path = tmp_path / "sub.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 0.5\n1 2 0.5\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}  # the default filter
     env["PYTHONPATH"] = str(ROOT / "src")
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     proc = subprocess.run(
         [sys.executable, "-m", "fluidsolve", "custom", "--matrix", str(path), "--schemes", "PI,GSl",
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
+    return proc
+
+
+def test_column_sum_warning_shows_once(tmp_path):
+    proc = _custom_on_substochastic(tmp_path)
     assert proc.stderr.count("not column-stochastic") == 1, proc.stderr
+
+
+def test_column_sum_warning_names_the_matrix_file(tmp_path):
+    proc = _custom_on_substochastic(tmp_path)
+    assert f"{tmp_path / 'sub.mtx'}:0: UserWarning: matrix is not column-stochastic" in proc.stderr
+    assert "<frozen" not in proc.stderr, proc.stderr
 
 
 def test_module_entry_point_is_deterministic(tmp_path):

@@ -1,8 +1,10 @@
-"""The compiled coordinate-level kernel against its Python twin, and how it is loaded.
+"""The compiled diffusion kernel against its fallbacks, and how it is loaded.
 
 ``fluidsolve._clu.load`` compiles ``_clu.c`` into ``$XDG_CACHE_HOME/fluidsolve``
-on first use and falls back to ``_clu.bind_py`` when it cannot. The loader
-tests run the CLI in fresh interpreters, each with its own cache directory.
+on first use and falls back to ``_clu.FALLBACK`` when it cannot: the Python
+twin of the coordinate-level step function, and ``diffuse_vector`` for
+vector-level steps. The loader tests run the CLI in fresh interpreters, each
+with its own cache directory.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ N = 2000
 def _run(path, m, f0, seq, stop, every):
     with pytest.MonkeyPatch.context() as mp:
         if path == "fallback":
-            mp.setattr(_clu, "load", lambda: _clu.bind_py)
-        elif _clu.load() is _clu.bind_py:
+            mp.setattr(_clu, "load", lambda: _clu.FALLBACK)
+        elif _clu.load() is _clu.FALLBACK:
             pytest.skip("no C compiler to build the coordinate-level kernel")
         return run_diffusion(m, f0, mode="clu", seq=seq, stop=stop, every=every)
 
@@ -72,13 +74,33 @@ def test_kernel_matches_fallback_bitwise(every, end):
     ("h", np.zeros(4)),  # wrong length
 ])
 def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
-    bind = _clu.load()
+    bind = _clu.load().clu
     if bind is _clu.bind_py:
         pytest.skip("no C compiler to build the coordinate-level kernel")
     arrays = dict(order=np.arange(3), indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]),
                   vals=np.full(3, 0.5), f=np.ones(3), h=np.zeros(3), acc=np.zeros(5),
                   delivered=np.zeros(1, dtype=np.int64))
     assert bind(**arrays)(3, 0, -1.0) == 3
+    with pytest.raises(ValueError):
+        bind(**{**arrays, name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("vals", np.ones(3, dtype=np.float32)),  # wrong dtype for a double pointer
+    ("cols", np.array([0, 1, 2], dtype=np.int32)),  # wrong dtype for an int64 pointer
+    ("h", np.zeros(4)),  # wrong length
+    ("cols", np.array([0, 1])),  # shorter than the stored entries
+    ("rows", np.array([1, 3, 0])),  # row past n
+    ("cols", np.array([0, -1, 2])),  # negative column
+])
+def test_vector_kernel_rejects_arrays_that_do_not_fit(name, bad):
+    bind = _clu.load().vlu
+    if bind is None:
+        pytest.skip("no C compiler to build the vector-level kernel")
+    arrays = dict(rows=np.array([1, 2, 0]), cols=np.arange(3), vals=np.full(3, 0.5), f=np.ones(3),
+                  h=np.zeros(3))
+    # one call runs at most STRETCH steps, the rows its buffer holds
+    assert len(bind(**arrays)(_clu.STRETCH + 1, -1.0)) == _clu.STRETCH
     with pytest.raises(ValueError):
         bind(**{**arrays, name: bad})
 
@@ -90,7 +112,7 @@ import sys
 from fluidsolve import _clu
 from fluidsolve.cli import main
 code = main(sys.argv[1:])
-print("kernel", _clu.load() is not _clu.bind_py)
+print("kernel", _clu.load() is not _clu.FALLBACK)
 print("modules", "hashlib" in sys.modules, "subprocess" in sys.modules)
 sys.exit(code)
 """
@@ -104,17 +126,19 @@ def graph(tmp_path_factory):
     return path
 
 
-def _start(graph: Path, out: Path, cache: Path, path_var: str | None = None) -> subprocess.Popen:
-    """``fluidsolve custom --schemes GSl,GSa`` on ``graph`` in a fresh interpreter."""
+def _start(graph: Path, out: Path, cache: Path, path_var: str | None = None,
+           schemes: str = "GSl,GSa") -> subprocess.Popen:
+    """``fluidsolve custom --schemes <schemes>`` on ``graph`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(cache))
     if path_var is not None:
         env["PATH"] = path_var
-    argv = ["custom", "--matrix", str(graph), "--schemes", "GSl,GSa", "--out", str(out)]
+    argv = ["custom", "--matrix", str(graph), "--schemes", schemes, "--out", str(out)]
     return subprocess.Popen([sys.executable, "-c", PROBE, *argv], env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def _finish(proc: subprocess.Popen, out: Path) -> tuple[dict, dict[str, bytes]]:
+def _finish(proc: subprocess.Popen, out: Path,
+            schemes: str = "GSl,GSa") -> tuple[dict, dict[str, bytes]]:
     """Wait for ``proc``; return its probe lines and the CSVs it wrote."""
     stdout, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr
@@ -122,7 +146,7 @@ def _finish(proc: subprocess.Popen, out: Path) -> tuple[dict, dict[str, bytes]]:
     probe = {line.split()[0]: line.split()[1:] for line in stdout.splitlines()
              if line.startswith(("kernel ", "modules "))}
     csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-    assert sorted(csvs) == ["graph_GSa.csv", "graph_GSl.csv"]
+    assert sorted(csvs) == sorted(f"graph_{s}.csv" for s in schemes.split(","))
     return probe, csvs
 
 
@@ -134,6 +158,13 @@ def kernel_run(graph, tmp_path_factory):
     if probe["kernel"] != ["True"]:
         pytest.skip("no C compiler to build the coordinate-level kernel")
     return tmp / "cache", csvs
+
+
+@pytest.fixture(scope="module")
+def vector_run(graph, kernel_run, tmp_path_factory):
+    """A PI,Jac run on the warm cache of ``kernel_run``: its probe lines and CSVs."""
+    out = tmp_path_factory.mktemp("vector") / "out"
+    return _finish(_start(graph, out, kernel_run[0], schemes="PI,Jac"), out, "PI,Jac")
 
 
 def test_cold_cache_two_processes(graph, kernel_run, tmp_path):
@@ -155,6 +186,15 @@ def test_no_compiler_falls_back(graph, kernel_run, tmp_path):
     assert probe["kernel"] == ["False"]
     assert csvs == kernel_run[1]
     assert not list(tmp_path.joinpath("cache").rglob("*.so"))
+
+
+def test_no_compiler_falls_back_for_vector_schemes(graph, vector_run, tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    proc = _start(graph, tmp_path / "out", tmp_path / "cache", str(empty), schemes="PI,Jac")
+    probe, csvs = _finish(proc, tmp_path / "out", "PI,Jac")
+    assert probe["kernel"] == ["False"]
+    assert csvs == vector_run[1]
 
 
 @pytest.mark.parametrize("how", ["read-only", "not-a-directory"])
@@ -215,3 +255,9 @@ def test_concurrent_builds_write_distinct_temp_files(tmp_path, monkeypatch):
     assert errors == []
     assert target.read_bytes() == b"built"
     assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+def test_warm_vector_run_imports_neither_hashlib_nor_subprocess(vector_run):
+    probe, _ = vector_run
+    assert probe["kernel"] == ["True"]
+    assert probe["modules"] == ["False", "False"]

@@ -18,16 +18,21 @@ from fluidsolve import (
     uniform_vector,
 )
 from fluidsolve import _clu
+from fluidsolve.diffusion import _run_vlu
 from helpers import engine_clu, random_signed_vector, random_substochastic, seeded_link_matrix
 
 
 @pytest.fixture(params=["kernel", "fallback"])
 def clu_path(request, monkeypatch):
-    """Coordinate-level runs through the compiled kernel or its Python twin (None: unchanged)."""
+    """Runs through the compiled kernel or as without a compiler (None: unchanged).
+
+    Without a compiler, coordinate-level runs use the kernel's Python twin and
+    vector-level runs call diffuse_vector once per step.
+    """
     if request.param == "fallback":
-        monkeypatch.setattr(_clu, "load", lambda: _clu.bind_py)
-    elif request.param == "kernel" and _clu.load() is _clu.bind_py:
-        pytest.skip("no C compiler to build the coordinate-level kernel")
+        monkeypatch.setattr(_clu, "load", lambda: _clu.FALLBACK)
+    elif request.param == "kernel" and _clu.load() is _clu.FALLBACK:
+        pytest.skip("no C compiler to build the diffusion kernel")
     return request.param
 
 
@@ -200,8 +205,10 @@ class TestRunDiffusion:
         assert run.state.residual_l1() <= 1e-10
         assert run.trace[-1].residual_l1 == run.state.residual_l1()
 
-    @pytest.mark.parametrize("mode, clu_path", [("clu", "kernel"), ("clu", "fallback"), ("vlu", None)],
-                             ids=["clu-kernel", "clu-fallback", "vlu"], indirect=["clu_path"])
+    @pytest.mark.parametrize("mode, clu_path", [("clu", "kernel"), ("clu", "fallback"),
+                                                ("vlu", "kernel"), ("vlu", "fallback")],
+                             ids=["clu-kernel", "clu-fallback", "vlu-kernel", "vlu-fallback"],
+                             indirect=["clu_path"])
     def test_overflow_is_non_finite_not_converged(self, mode, clu_path):
         # finite input whose iterates overflow: inf - inf = NaN inside F
         m = SparseColumnMatrix.from_dense(np.full((2, 2), 1e300))
@@ -281,6 +288,54 @@ class TestCoordinateDriver:
         assert got.total_contracted == pytest.approx(want.total_contracted, rel=1e-12, abs=1e-15 * scale)
 
 
+def random_sparse(rng, n, scale):
+    """n x n matrix of up to 4n signed entries, its largest column L1 norm set to ``scale``."""
+    pos = rng.choice(n * n, size=min(4 * n, n * n), replace=False)
+    m = SparseColumnMatrix.from_entries(n, pos % n, pos // n, rng.uniform(-1.0, 1.0, pos.size))
+    return m.scaled(scale / m.column_l1_norms().max())
+
+
+class TestVectorDriver:
+    """run_diffusion's vector-level driver against a loop of diffuse_vector, bit for bit."""
+
+    @staticmethod
+    def engine(m, f0, stop):
+        state, status = DiffusionState.start(f0), "budget"
+        while status == "budget" and state.step < stop.max_steps:
+            diffuse_vector(state, m)
+            residual = state.trace[-1].residual_l1
+            if not np.isfinite(residual):
+                status = "non_finite"
+            elif stop.tol is not None and residual <= stop.tol:
+                status = "converged"
+        return state, status
+
+    @staticmethod
+    def bits(state, status):
+        rows = [(r.step, r.residual_l1.hex(), r.cancelled.hex(), r.contracted.hex())
+                for r in state.trace]
+        return (state.f.tobytes(), state.h.tobytes(), rows, state.total_cancelled.hex(),
+                state.total_contracted.hex(), state.delivered, state.step, status)
+
+    # n straddles numpy's pairwise-sum blocks (8, 128) and the kernel's 256-step stretches
+    def test_matches_per_step_engine(self, clu_path):
+        rng = np.random.default_rng(11)
+        for n in (1, 5, 7, 8, 9, 127, 128, 129, 1000, 8193):
+            f0 = 1e3 * random_signed_vector(rng, n)
+            for end, scale, stop in [
+                ("converged", 0.9, StoppingRule(tol=1e-3 * l1_norm(f0), max_steps=10_000)),
+                ("budget", 0.9, StoppingRule(tol=1e-300, max_steps=300)),
+                ("budget", 0.9, StoppingRule(tol=None, max_steps=2 * _clu.STRETCH + 1)),
+                ("non_finite", 1e300, StoppingRule(tol=None, max_steps=50)),
+            ]:
+                m = random_sparse(rng, n, scale)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    run = run_diffusion(m, f0, mode="vlu", stop=stop)
+                    want = self.engine(m, f0, stop)
+                assert run.status == end, (n, end)
+                assert self.bits(run.state, run.status) == self.bits(*want), (n, end)
+
+
 class TestExactRecord:
     """Engine rows hold the exact l1(F); NaN stays visible in every column."""
 
@@ -309,14 +364,17 @@ class TestExactRecord:
         diffuse_vector(state, m)  # every stored entry, zero fluid or not
         assert state.delivered == 2 + m.nnz
 
-    @pytest.mark.parametrize("mode", ["clu", "vlu"])
-    def test_engine_contracted_keeps_nan(self, mode):
+    @pytest.mark.parametrize("mode, clu_path", [("clu", None), ("vlu", "kernel"),
+                                                ("vlu", "fallback")],
+                             ids=["clu", "vlu-kernel", "vlu-fallback"], indirect=["clu_path"])
+    def test_engine_contracted_keeps_nan(self, mode, clu_path):
         m = SparseColumnMatrix.from_dense(np.array([[0.5, 0.25], [0.25, 0.5]]))
         state = DiffusionState.start([np.nan, 0.0])
         if mode == "clu":
             diffuse_coordinate(state, m, 0)
-        else:
-            diffuse_vector(state, m)
+        else:  # run_diffusion stops at a NaN start, so its vector-level driver steps the state
+            assert _run_vlu(state, m, StoppingRule(tol=None, max_steps=5)) == "non_finite"
+            assert state.step == 1
         assert np.isnan(state.trace[-1].contracted)
         assert np.isnan(state.total_contracted)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,32 @@ class TestSparseColumnMatrix:
                         SparseColumnMatrix.from_entries(m.n, rows, cols, dense[rows, cols])):
             for name in ("indptr", "rows", "cols", "vals"):
                 np.testing.assert_array_equal(getattr(rebuilt, name), getattr(m, name), name)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_build_sorts_as_lexsort(self, seed):
+        # shuffled input with repeated positions; np.lexsort((rows, cols)) is the reference order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        rows, cols = rng.integers(0, n, (2, 4 * n))
+        vals = rng.uniform(-1.0, 1.0, rows.size)
+        order = np.lexsort((rows, cols))
+        r, c = rows[order], cols[order]
+        dup = np.flatnonzero((np.diff(r) == 0) & (np.diff(c) == 0))
+        assert dup.size
+        message = f"duplicate entry at (row {r[dup[0]]}, col {c[dup[0]]})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SparseColumnMatrix.from_entries(n, rows, cols, vals)
+        keep = np.sort(np.unique(cols * n + rows, return_index=True)[1])  # first of each, unsorted
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((rows, cols))
+        m = SparseColumnMatrix.from_entries(n, rows, cols, vals)
+        for got, want in ((m.rows, rows), (m.cols, cols), (m.vals, vals)):
+            np.testing.assert_array_equal(got, want[order])
+
+    def test_construction_rejects_a_dimension_whose_sort_key_overflows(self):
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow int64"):
+            SparseColumnMatrix.from_entries(2**32, empty, empty, [])
 
     def test_construction_drops_stored_zeros(self):
         m = SparseColumnMatrix.from_entries(3, [0, 1], [0, 0], [0.0, 2.0])

@@ -36,7 +36,7 @@ import linecache
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,8 @@ class RunConfig:
     sample_every: int | None = None  # None: the matrix dimension
 
     def __post_init__(self):
+        if not self.schemes:
+            raise ValueError("no schemes selected")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not self.tol > 0.0:
@@ -87,6 +89,9 @@ class RunConfig:
         unknown = [s for s in self.schemes if s not in SCHEME_KINDS]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; valid: {', '.join(SCHEME_KINDS)}")
+        repeated = next((s for s in self.schemes if self.schemes.count(s) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"scheme {repeated} selected more than once")
         if self.sample_every is not None and self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -127,8 +132,8 @@ class SchemeTrace:
 @dataclass
 class ExperimentResult:
     case: CaseDefinition
-    traces: dict[str, SchemeTrace] = field(default_factory=dict)
-    plot_path: Path | None = None
+    traces: dict[str, SchemeTrace]
+    plot_path: Path
 
 
 def _trace_scheme(case: CaseDefinition, scheme: str, cfg: RunConfig,
@@ -136,20 +141,18 @@ def _trace_scheme(case: CaseDefinition, scheme: str, cfg: RunConfig,
     n = case.q.n
     seq = make_sequence(cfg.seq_spec, n)
     equiv = diffusion_form(case.q, case.d, scheme, seq=seq, b=b, x0=x0)
-    clu = equiv.mode == "clu"
+    clu = equiv.seq is not None
     stop = StoppingRule(tol=cfg.tol, max_steps=cfg.iterations * (n if clu else 1))
-    run = run_diffusion(equiv.matrix, equiv.f0, mode=equiv.mode, seq=equiv.seq, stop=stop,
+    run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop,
                         every=(cfg.sample_every or n) if clu else 1)
     return SchemeTrace(scheme=scheme, equivalent=equiv, run=run)
 
 
 def _write_plot_script(path: Path, stem: str, schemes: tuple[str, ...]) -> None:
-    curves_resid = ", \\\n     ".join(
-        f'"{stem}_{s}.csv" skip 1 using 1:2 with linespoints title "{s}"' for s in schemes
-    )
-    curves_cancel = ", \\\n     ".join(
-        f'"{stem}_{s}.csv" skip 1 using 1:3 with linespoints title "{s}"' for s in schemes
-    )
+    def curves(column: int) -> str:
+        return ", \\\n     ".join(f'"{stem}_{s}.csv" skip 1 using 1:{column} with linespoints '
+                                  f'title "{s}"' for s in schemes)
+
     script = f"""# Convergence traces for {stem}: run `gnuplot {path.name}` next to the CSVs.
 set datafile separator ","
 set terminal pngcairo size 900,600
@@ -159,12 +162,12 @@ set xlabel "iteration"
 set output "{stem}_residual.png"
 set ylabel "residual fluid (L1)"
 set logscale y
-plot {curves_resid}
+plot {curves(2)}
 
 set output "{stem}_cancelled.png"
 set ylabel "cancelled fluid per iteration"
 unset logscale y
-plot {curves_cancel}
+plot {curves(3)}
 """
     path.write_text(script, encoding="utf-8")
 
@@ -172,16 +175,16 @@ plot {curves_cancel}
 def run_experiment(case: CaseDefinition, cfg: RunConfig,
                    b: np.ndarray | None = None, x0: np.ndarray | None = None) -> ExperimentResult:
     """Trace the selected schemes on one case; write CSVs and a plot script."""
-    out = ExperimentResult(case=case)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    traces = {}
     for scheme in cfg.schemes:
         trace = _trace_scheme(case, scheme, cfg, b=b, x0=x0)
         trace.csv_path = cfg.output_dir / f"{case.name}_{scheme}.csv"
         write_trace_csv(trace.csv_path, trace.run.trace)
-        out.traces[scheme] = trace
-    out.plot_path = cfg.output_dir / f"{case.name}_plot.gp"
-    _write_plot_script(out.plot_path, case.name, cfg.schemes)
-    return out
+        traces[scheme] = trace
+    plot_path = cfg.output_dir / f"{case.name}_plot.gp"
+    _write_plot_script(plot_path, case.name, cfg.schemes)
+    return ExperimentResult(case, traces, plot_path)
 
 
 def run_custom(matrix_path, cfg: RunConfig, b_path=None, x0_path=None,
@@ -206,8 +209,8 @@ def run_custom(matrix_path, cfg: RunConfig, b_path=None, x0_path=None,
     return run_experiment(case, cfg, b=b, x0=x0)
 
 
-def run_verification(cfg: RunConfig, csv_path: Path | None = None):
-    """Lockstep equivalence reports for every built-in case and scheme.
+def run_verification(cfg: RunConfig, csv_path: Path):
+    """Lockstep equivalence reports for every built-in case and scheme, written to ``csv_path``.
 
     The linear schemes are checked against the fully materialized PageRank
     operator (5x5, so the dense pattern is harmless here); the affine ones
@@ -221,24 +224,20 @@ def run_verification(cfg: RunConfig, csv_path: Path | None = None):
         q_d = case.q.scaled(case.d)
         b = (1.0 - case.d) * uniform_vector(n)
         e = uniform_vector(n)
+        seq = make_sequence(cfg.seq_spec, n)
         for kind in cfg.schemes:
-            seq = make_sequence(cfg.seq_spec, n)
-            if kind == "PI":
-                spec = SchemeSpec("PI", p_full, x0=e)
-            elif kind == "GSl":
-                spec = SchemeSpec("GSl", p_full, x0=e, seq=seq)
-            elif kind == "Jac":
-                spec = SchemeSpec("Jac", q_d, b=b)
+            kind_seq = seq if kind in ("GSl", "GSa") else None
+            if kind in ("PI", "GSl"):
+                spec = SchemeSpec(kind, p_full, x0=e, seq=kind_seq)
             else:
-                spec = SchemeSpec("GSa", q_d, b=b, seq=seq)
+                spec = SchemeSpec(kind, q_d, b=b, seq=kind_seq)
             steps = cfg.iterations * (n if spec.coordinate_level else 1)
             report = verify_equivalence(spec, steps)
             report.scheme = f"{case_name}/{kind}"
             reports.append(report)
-    if csv_path is not None:
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(csv_path, "scheme,steps,max_discrepancy",
-                  [(r.scheme, r.steps, r.max_discrepancy) for r in reports])
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(csv_path, "scheme,steps,max_discrepancy",
+              [(r.scheme, r.steps, r.max_discrepancy) for r in reports])
     return reports
 
 
@@ -264,36 +263,25 @@ class CancellationSummary:
             return math.nan
         return self.cumulative_cancelled / total
 
-    def fraction_at_step(self, step: int) -> float:
-        for s, _, _, frac in self.per_step:
-            if s == step:
-                return frac
-        return math.nan
-
     def fraction_at_update(self, k: int) -> float:
-        """Per-step fraction at the k-th update of the classical scheme.
+        """Per-step fraction at the k-th update of the classical scheme (NaN past the run).
 
         For PI and GSl the initial fluid already encodes the first operator
         application (f0 = P x0 - x0), so classical update k lines up with
         engine step k - 1; for Jac and GSa the two counts coincide.
         """
-        offset = 1 if self.scheme in ("PI", "GSl") else 0
-        return self.fraction_at_step(k - offset)
+        step = k - (1 if self.scheme in ("PI", "GSl") else 0)
+        return next((frac for s, _, _, frac in self.per_step if s == step), math.nan)
 
 
 def cancellation_report(case: CaseDefinition, scheme: str, n_steps: int,
-                        seq_spec: str = "roundrobin",
-                        b: np.ndarray | None = None,
-                        x0: np.ndarray | None = None) -> CancellationSummary:
+                        seq_spec: str = "roundrobin") -> CancellationSummary:
     """Run ``scheme``'s diffusion twin for exactly ``n_steps`` engine steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    seq = make_sequence(seq_spec, case.q.n)
-    equiv = diffusion_form(case.q, case.d, scheme, seq=seq, b=b, x0=x0)
-    run = run_diffusion(
-        equiv.matrix, equiv.f0, mode=equiv.mode, seq=equiv.seq,
-        stop=StoppingRule(tol=None, max_steps=n_steps),
-    )
+    equiv = diffusion_form(case.q, case.d, scheme, seq=make_sequence(seq_spec, case.q.n))
+    run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq,
+                        stop=StoppingRule(tol=None, max_steps=n_steps))
     per_step = []
     for rec in run.trace[1:]:
         lost = rec.cancelled + rec.contracted
@@ -317,17 +305,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common_flags(sub, with_sampling: bool = True):
+def _add_common_flags(sub, to_tol: bool = True):
+    """Flags of every experiment; ``to_tol`` adds those of runs to a tolerance (case, custom)."""
     sub.add_argument("--schemes", default=",".join(SCHEME_KINDS),
                      help="comma list among PI,GSl,Jac,GSa (default: all)")
     sub.add_argument("--iters", type=int, default=200,
                      help="iteration budget (sweeps for coordinate-level schemes)")
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="stop once residual fluid L1 falls below this")
     sub.add_argument("--seq", default="roundrobin",
-                     help="update order: 'roundrobin' or 1-based list like '3,1,2'")
+                     help="update order of GSl/GSa: 'roundrobin' or 1-based list like '3,1,2'")
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    if with_sampling:
+    if to_tol:
+        sub.add_argument("--tol", type=float, default=RunConfig.tol,
+                         help="stop once residual fluid L1 falls below this")
         sub.add_argument("--sample-every", type=int, default=None,
                          help="record coordinate-level traces every K updates (default: n)")
 
@@ -356,7 +345,7 @@ def _build_parser() -> _Parser:
     _add_common_flags(p_custom)
 
     p_verify = subs.add_parser("verify", help="scheme-vs-diffusion lockstep checks")
-    _add_common_flags(p_verify, with_sampling=False)
+    _add_common_flags(p_verify, to_tol=False)
     p_verify.set_defaults(iters=50)
 
     p_cancel = subs.add_parser("cancel-report", help="cancellation vs contraction split")
@@ -368,19 +357,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_schemes(text: str) -> tuple[str, ...]:
-    schemes = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not schemes:
-        raise ValueError("no schemes selected")
-    return schemes
-
-
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
-        schemes=_parse_schemes(args.schemes),
+        schemes=tuple(tok.strip() for tok in args.schemes.split(",") if tok.strip()),
         seq_spec=args.seq,
         iterations=args.iters,
-        tol=args.tol,
+        tol=getattr(args, "tol", RunConfig.tol),
         output_dir=args.out,
         sample_every=getattr(args, "sample_every", None),
     )
@@ -397,8 +379,7 @@ def _report_experiment(result: ExperimentResult) -> int:
         )
         if not trace.converged:
             worst = EXIT_NOT_CONVERGED
-    if result.plot_path is not None:
-        print(f"plot script -> {result.plot_path}")
+    print(f"plot script -> {result.plot_path}")
     return worst
 
 

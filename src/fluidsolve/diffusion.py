@@ -251,41 +251,32 @@ def _status(residual: float, tol: float | None) -> str:
 def run_diffusion(
     m: SparseColumnMatrix,
     f0,
-    mode: str = "vlu",
     seq: UpdateSequence | None = None,
     stop: StoppingRule | None = None,
     every: int = 1,
 ) -> DiffusionRun:
-    """Drive coordinate-level ("clu") or vector-level ("vlu") diffusion.
+    """Drive coordinate-level diffusion along ``seq``, or vector-level without one.
 
     A coordinate-level run keeps one trace row per ``every`` steps, the rows
     ``aggregate_sweeps`` would make of its per-step trace; vector-level runs
     keep every step. Never raises on non-convergence or overflow: the run
     comes back with ``status`` "budget" or "non_finite".
     """
-    if mode not in ("vlu", "clu"):
-        raise ValueError(f"mode must be 'vlu' or 'clu', got {mode!r}")
     if every < 1:
         raise ValueError("every must be positive")
-    if mode == "clu":
-        if seq is None:
-            raise ValueError("coordinate-level runs need an update sequence")
-        if seq.n != m.n:
-            raise ValueError(f"sequence dimension {seq.n} != matrix dimension {m.n}")
-    else:
-        if seq is not None:
-            raise ValueError("vector-level runs take no update sequence")
-        if every != 1:
-            raise ValueError("vector-level runs record every step")
+    if seq is None and every != 1:
+        raise ValueError("vector-level runs record every step")
+    if seq is not None and seq.n != m.n:
+        raise ValueError(f"sequence dimension {seq.n} != matrix dimension {m.n}")
     stop = stop or StoppingRule()
 
     state = DiffusionState.start(as_vector(f0, m.n))
     status = _status(state.residual_l1(), stop.tol)
     if status != "budget":
         return DiffusionRun(state, status)
-    if mode == "clu":
-        return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
-    return DiffusionRun(state, _run_vlu(state, m, stop))
+    if seq is None:
+        return DiffusionRun(state, _run_vlu(state, m, stop))
+    return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
 
 
 def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:

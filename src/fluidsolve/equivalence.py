@@ -69,21 +69,24 @@ def _outside_stacklevel() -> int:
 
 @dataclass(frozen=True)
 class DiffusionEquivalent:
-    """A diffusion iteration plus the offset that reconstructs the iterates."""
+    """A diffusion iteration plus the offset that reconstructs the iterates.
+
+    ``seq`` is the update order of a coordinate-level iteration, None for a vector-level one.
+    """
 
     matrix: SparseColumnMatrix
     f0: np.ndarray
-    mode: str  # "vlu" or "clu"
     seq: UpdateSequence | None
     offset: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in ("vlu", "clu"):
-            raise ValueError(f"mode must be 'vlu' or 'clu', got {self.mode!r}")
-        if self.mode == "clu" and self.seq is None:
-            raise ValueError("coordinate-level equivalent needs an update sequence")
         object.__setattr__(self, "f0", as_vector(self.f0, self.matrix.n))
         object.__setattr__(self, "offset", as_vector(self.offset, self.matrix.n))
+
+    @property
+    def mode(self) -> str:
+        """'clu' (coordinate level) with an update sequence, 'vlu' (vector level) without."""
+        return "vlu" if self.seq is None else "clu"
 
     def reconstruct(self, h: np.ndarray) -> np.ndarray:
         """Map accumulated history back to the classical iterate."""
@@ -99,20 +102,18 @@ def to_diffusion(spec: SchemeSpec) -> DiffusionEquivalent:
     else:
         f0 = spec.b.copy()
         offset = np.zeros(p.n)
-    if spec.coordinate_level:
-        return DiffusionEquivalent(p, f0, "clu", spec.seq, offset)
-    return DiffusionEquivalent(p, f0, "vlu", None, offset)
+    return DiffusionEquivalent(p, f0, spec.seq, offset)
 
 
-def pagerank_decompose(q: SparseColumnMatrix, d: float, x0, mode: str = "vlu",
+def pagerank_decompose(q: SparseColumnMatrix, d: float, x0,
                        seq: UpdateSequence | None = None) -> DiffusionEquivalent:
     """Diffusion form of power iteration on d*Q + (1-d)/n * ones, from x0.
 
     Requires sigma(x0) = 1; that is what lets the rank-one part collapse to
     the constant vector (1-d) e. Q should be column-stochastic; columns
     whose absolute sum strays from 1 (dangling nodes) only draw a warning.
-    ``mode="clu"`` with an update sequence gives the coordinate-level run of
-    the same form (see :func:`diffusion_form` for what that iteration is).
+    With an update sequence ``seq`` it is the coordinate-level run of the
+    same form (see :func:`diffusion_form` for what that iteration is).
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"damping factor must lie in (0, 1), got {d}")
@@ -130,7 +131,7 @@ def pagerank_decompose(q: SparseColumnMatrix, d: float, x0, mode: str = "vlu",
         )
     e = uniform_vector(q.n)
     f0 = d * q.matvec(x0) + (1.0 - d) * e - x0
-    return DiffusionEquivalent(q.scaled(d), f0, mode, seq, x0.copy())
+    return DiffusionEquivalent(q.scaled(d), f0, seq, x0.copy())
 
 
 def diffusion_form(
@@ -146,7 +147,8 @@ def diffusion_form(
     Defaults follow the PageRank setup: b = (1-d) e for the affine schemes
     and x0 = e for the linear ones. The linear schemes never materialize the
     dense rank-one part; their form runs on d*Q with the constant folded
-    into the initial fluid f0 = d Q x0 + (1-d) e - x0.
+    into the initial fluid f0 = d Q x0 + (1-d) e - x0. ``seq`` is the update
+    order of the coordinate-level schemes (GSl, GSa); PI and Jac ignore it.
 
     For PI this is the exact twin of power iteration on
     P = d*Q + (1-d)/n * ones, because every PI iterate keeps sigma(x) = 1.
@@ -163,11 +165,10 @@ def diffusion_form(
     if not 0.0 < d < 1.0:
         raise ValueError(f"damping factor must lie in (0, 1), got {d}")
     n = q.n
+    seq = seq if scheme in ("GSl", "GSa") else None
     if scheme in ("PI", "GSl"):
         # one call site, so the default filter shows a column-sum warning once per run
-        clu = scheme == "GSl"
-        return pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n),
-                                  mode="clu" if clu else "vlu", seq=seq if clu else None)
+        return pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n), seq=seq)
     b = b if b is not None else (1.0 - d) * uniform_vector(n)
     return to_diffusion(SchemeSpec(scheme, q.scaled(d), b=b, seq=seq))
 

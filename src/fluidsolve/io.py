@@ -101,32 +101,53 @@ def read_matrix_market(path) -> SparseColumnMatrix:
 
 
 def _first_bad_entry(path, size_lineno: int, n: int, nnz: int) -> ParseError:
-    """The error naming the first bad entry line; it never accepts the file."""
-    seen: dict[tuple[int, int], int] = {}
+    """The error naming the first bad entry line; it never accepts the file.
+
+    The first ``nnz`` entry lines go through the accepting read's parser, so that both agree
+    on what is malformed: all in one call, and only if that fails, halves of the part that
+    holds the first line that does not parse (O(log nnz) calls). The entries before that line
+    are checked as arrays, in the order the messages below are tried.
+    """
     with open(path, "r", encoding="utf-8") as fh, _strict_loadtxt():
-        for lineno, line in itertools.islice(enumerate(fh, start=1), size_lineno, None):
-            if _SKIPPED.match(line):
-                continue
-            if len(seen) == nnz:
-                return _fail(path, lineno, f"more than the declared {nnz} entries")
-            parts = line.split()
-            if len(parts) != 3:
-                return _fail(path, lineno, "entry line must be 'row col value'")
-            try:  # the accepting read's parser, so that both agree on what is malformed
-                i, j, value = np.loadtxt([line], dtype=_ENTRY, comments=None).item()
+        numbered = itertools.islice(enumerate(fh, start=1), size_lineno, None)
+        entries = list(itertools.islice(
+            ((lineno, line) for lineno, line in numbered if not _SKIPPED.match(line)), nnz + 1))
+        lines = [line for _, line in entries[:nnz]]
+        blocks, lo, hi, mid = [np.empty(0, dtype=_ENTRY)], 0, len(lines), len(lines)
+        while lo < mid:  # lines[:lo] parse; if lo < hi, lines[lo:hi] holds one that does not
+            try:
+                blocks.append(np.loadtxt(lines[lo:mid], dtype=_ENTRY, comments=None, ndmin=1))
+                lo = mid
             except ValueError:
-                return _fail(path, lineno, "malformed entry " + repr(line.rstrip("\n")))
-            if not math.isfinite(value):
-                return _fail(path, lineno, f"non-finite value {parts[2]!r}")
-            if not (1 <= i <= n and 1 <= j <= n):
-                return _fail(path, lineno, f"entry ({i}, {j}) outside 1..{n}")
-            if (i, j) in seen:
-                return _fail(
-                    path, lineno, f"duplicate entry ({i}, {j}), first seen on line {seen[(i, j)]}"
-                )
-            seen[(i, j)] = lineno
-    last = max(seen.values(), default=size_lineno)
-    return _fail(path, last, f"expected {nnz} entries, found {len(seen)}")
+                hi = mid
+            mid = (lo + hi) // 2
+    parsed = np.concatenate(blocks)
+    i, j = parsed["i"], parsed["j"]
+    outside = (i < 1) | (i > n) | (j < 1) | (j > n)
+    # column-major position; an entry outside the matrix gets one of its own
+    pos = np.where(outside, -1 - np.arange(i.size), (j - 1) * n + i - 1)
+    unique_pos, first = np.unique(pos, return_index=True)
+    repeated = np.ones(i.size, dtype=bool)
+    repeated[first] = False
+    bad = np.flatnonzero(~np.isfinite(parsed["v"]) | outside | repeated)
+    if bad.size:
+        k = int(bad[0])
+        (lineno, line), (ik, jk, value) = entries[k], parsed[k].tolist()
+        if not math.isfinite(value):
+            return _fail(path, lineno, f"non-finite value {line.split()[2]!r}")
+        if outside[k]:
+            return _fail(path, lineno, f"entry ({ik}, {jk}) outside 1..{n}")
+        seen = entries[first[np.searchsorted(unique_pos, pos[k])]][0]
+        return _fail(path, lineno, f"duplicate entry ({ik}, {jk}), first seen on line {seen}")
+    if len(parsed) < len(lines):
+        lineno, line = entries[len(parsed)]
+        if len(line.split()) != 3:
+            return _fail(path, lineno, "entry line must be 'row col value'")
+        return _fail(path, lineno, "malformed entry " + repr(line.rstrip("\n")))
+    if len(entries) > nnz:
+        return _fail(path, entries[nnz][0], f"more than the declared {nnz} entries")
+    last = entries[-1][0] if entries else size_lineno
+    return _fail(path, last, f"expected {nnz} entries, found {len(entries)}")
 
 
 def read_vector(path) -> np.ndarray:

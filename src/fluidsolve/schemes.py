@@ -61,7 +61,8 @@ class SchemeSpec:
     """Which scheme to run and with what data; validates the per-kind contract.
 
     The affine schemes (Jac, GSa) are defined to start from the zero vector,
-    so a nonzero x0 is rejected for them.
+    so a nonzero x0 is rejected for them. The Gauss-Seidel schemes (GSl, GSa)
+    need an update sequence and the vector-level ones (PI, Jac) take none.
     """
 
     kind: str
@@ -88,11 +89,12 @@ class SchemeSpec:
                 raise ValueError(f"{self.kind} needs an affine term b")
             if self.x0 is not None and np.any(self.x0 != 0.0):
                 raise ValueError(f"{self.kind} starts from zero; nonzero x0 rejected")
-        if self.kind in ("GSl", "GSa"):
-            if self.seq is None:
-                raise ValueError(f"{self.kind} needs an update sequence")
-            if self.seq.n != n:
-                raise ValueError(f"sequence dimension {self.seq.n} != matrix dimension {n}")
+        if self.coordinate_level and self.seq is None:
+            raise ValueError(f"{self.kind} needs an update sequence")
+        if not self.coordinate_level and self.seq is not None:
+            raise ValueError(f"{self.kind} updates every coordinate at once; takes no sequence")
+        if self.seq is not None and self.seq.n != n:
+            raise ValueError(f"sequence dimension {self.seq.n} != matrix dimension {n}")
 
     @property
     def coordinate_level(self) -> bool:

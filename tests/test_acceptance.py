@@ -60,7 +60,7 @@ def _case_trace(case_name: str, scheme: str, iterations: int = 60):
     seq = UpdateSequence.round_robin(case.q.n)
     equiv = diffusion_form(case.q, case.d, scheme, seq=seq)
     stop = StoppingRule(tol=None, max_steps=iterations * (case.q.n if equiv.mode == "clu" else 1))
-    run = run_diffusion(equiv.matrix, equiv.f0, mode=equiv.mode, seq=equiv.seq, stop=stop)
+    run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop)
     if equiv.mode == "clu":
         return aggregate_sweeps(run.trace, case.q.n)
     return run.trace
@@ -74,7 +74,7 @@ def test_criterion_1_jacobi_geometric_rate():
         m = case.q.scaled(case.d)
         f0 = 0.15 * uniform_vector(5)
         t0 = time.perf_counter()
-        run = run_diffusion(m, f0, mode="vlu", stop=StoppingRule(tol=None, max_steps=50))
+        run = run_diffusion(m, f0, stop=StoppingRule(tol=None, max_steps=50))
         worst_ms = max(worst_ms, (time.perf_counter() - t0) * 1e3)
         assert run.steps == 50 and [r.step for r in run.trace] == list(range(51))
         for rec in run.trace:
@@ -312,7 +312,7 @@ def test_criterion_8_oracle_agreement():
         for scheme in ("PI", "GSl", "Jac", "GSa"):
             seq = UpdateSequence.round_robin(n)
             equiv = diffusion_form(case.q, case.d, scheme, seq=seq)
-            run = run_diffusion(equiv.matrix, equiv.f0, mode=equiv.mode, seq=equiv.seq, stop=stop)
+            run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop)
             assert run.converged
             worst_err = max(worst_err, l1_norm(equiv.reconstruct(run.state.h) - x_star))
     ok = worst_err <= 1e-8 and worst_sigma <= 1e-10

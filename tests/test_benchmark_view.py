@@ -1,9 +1,11 @@
-"""The traced benchmark run reaches the program only through exported names.
+"""The benchmark reaches the program only through exported names.
 
 ``perfbench/tracer.py`` looks up functions and methods by name in
 ``fluidsolve`` and ``fluidsolve.cli`` and wraps them. Installing its recorder
 in a fresh interpreter fails as soon as one of those names is deleted or
-renamed, so this test guards the benchmark's view of the program.
+renamed. ``perfbench/child.py`` also reads attributes of the results and
+calls the verify and cancel-report functions with fixed arguments, so one
+untraced repetition of the cases workload guards the rest of that view.
 """
 
 import json
@@ -42,3 +44,13 @@ def test_traced_read_counts_every_entry_into_the_build(tmp_path):
     counters = json.loads(_traced(code, str(path)).stdout)
     assert counters["linalg.from_entries.nnz"] == 4
     assert counters["io.read_matrix_market.nnz"] == 4
+
+
+def test_benchmark_cases_repetition_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "perfbench/child.py", "--cases", "--result", str(tmp_path)]
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads((tmp_path / "result.json").read_text())["runs"]
+    assert {run["scheme"] for run in runs} == {"PI", "GSl", "Jac", "GSa"}
+    assert all(run["clu"] == (run["scheme"] in ("GSl", "GSa")) for run in runs)

@@ -74,6 +74,11 @@ class TestDiffusionForm:
         np.testing.assert_allclose(eq.f0, 0.15 * uniform_vector(5), rtol=1e-15)
         np.testing.assert_array_equal(eq.offset, np.zeros(5))
 
+    def test_jacobi_ignores_the_sequence(self):
+        case = load_case("case1")
+        eq = diffusion_form(case.q, case.d, "Jac", seq=make_sequence("roundrobin", 5))
+        assert eq.mode == "vlu" and eq.seq is None
+
     def test_gsa_is_coordinate_level(self):
         case = load_case("case1")
         seq = make_sequence("roundrobin", 5)
@@ -87,6 +92,7 @@ class TestDiffusionForm:
         pi = diffusion_form(case.q, case.d, "PI", seq=seq)
         gsl = diffusion_form(case.q, case.d, "GSl", seq=seq)
         assert pi.mode == "vlu" and gsl.mode == "clu"
+        assert pi.seq is None and gsl.seq is seq
         np.testing.assert_allclose(pi.f0, gsl.f0, rtol=0, atol=0)
         assert pi.f0[0] == pytest.approx(-0.085, abs=1e-15)
         np.testing.assert_array_equal(pi.offset, uniform_vector(5))
@@ -143,6 +149,12 @@ class TestRunExperiment:
                 == res_b.traces[scheme].csv_path.read_bytes()
             )
 
+    def test_empty_or_repeated_scheme_selection_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="scheme PI selected more than once"):
+            RunConfig(schemes=("PI", "GSa", "PI"), output_dir=tmp_path)
+        with pytest.raises(ValueError, match="no schemes selected"):
+            RunConfig(schemes=(), output_dir=tmp_path)
+
     def test_solution_reconstruction(self, case1_result):
         from fluidsolve import dense_solve_oracle
 
@@ -196,7 +208,9 @@ class TestCancellationReport:
         assert summary.cumulative_fraction < 0.6
 
     def test_zero_fluid_reports_nan_sentinel(self):
-        summary = cancellation_report(load_case("case1"), "Jac", 5, b=np.zeros(5))
+        # coordinates 3-5 of case1 start with zero fluid, so these updates deliver nothing
+        summary = cancellation_report(load_case("case1"), "GSl", 3, seq_spec="5,4,3,2,1")
+        assert summary.cumulative_cancelled == summary.cumulative_contracted == 0.0
         assert math.isnan(summary.cumulative_fraction)
         assert all(math.isnan(frac) for _, _, _, frac in summary.per_step)
 
@@ -233,6 +247,18 @@ class TestMainExitCodes:
     def test_bad_scheme_name_is_input_error(self, tmp_path):
         code = main(["case", "case1", "--schemes", "FOO", "--out", str(tmp_path)])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", [["case", "case1"], ["verify"]])
+    def test_repeated_scheme_is_input_error(self, tmp_path, capsys, command):
+        code = main([*command, "--schemes", "PI,PI", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "scheme PI selected more than once" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_verify_takes_no_tol(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol", "1e-3", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"

@@ -31,7 +31,7 @@ def _run(path, m, f0, seq, stop, every):
             mp.setattr(_clu, "load", lambda: _clu.FALLBACK)
         elif _clu.load() is _clu.FALLBACK:
             pytest.skip("no C compiler to build the coordinate-level kernel")
-        return run_diffusion(m, f0, mode="clu", seq=seq, stop=stop, every=every)
+        return run_diffusion(m, f0, seq=seq, stop=stop, every=every)
 
 
 def _bits(trace):

@@ -142,7 +142,6 @@ class TestRunDiffusion:
         run = run_diffusion(
             case1_damped,
             0.15 * uniform_vector(5),
-            mode="vlu",
             stop=StoppingRule(tol=None, max_steps=50),
         )
         for rec in run.trace:
@@ -150,7 +149,7 @@ class TestRunDiffusion:
             assert rec.residual_l1 == pytest.approx(expected, rel=1e-12)
 
     def test_zero_f0_stops_immediately(self, case1_damped):
-        run = run_diffusion(case1_damped, np.zeros(5), mode="vlu")
+        run = run_diffusion(case1_damped, np.zeros(5))
         assert run.converged
         assert run.steps == 0
         np.testing.assert_array_equal(run.state.h, np.zeros(5))
@@ -161,7 +160,6 @@ class TestRunDiffusion:
         run = run_diffusion(
             case1_damped,
             b,
-            mode="clu",
             seq=UpdateSequence.round_robin(5),
             stop=StoppingRule(tol=1e-10, max_steps=10**6),
         )
@@ -172,24 +170,19 @@ class TestRunDiffusion:
         run = run_diffusion(
             case1_damped,
             0.15 * uniform_vector(5),
-            mode="vlu",
             stop=StoppingRule(tol=1e-10, max_steps=3),
         )
         assert not run.converged
         assert run.status == "budget"
         assert run.steps == 3
 
-    def test_mode_validation(self, case1_damped):
-        with pytest.raises(ValueError, match="mode"):
-            run_diffusion(case1_damped, np.zeros(5), mode="xlu")
-        with pytest.raises(ValueError, match="update sequence"):
-            run_diffusion(case1_damped, np.zeros(5), mode="clu")
-        with pytest.raises(ValueError, match="no update sequence"):
-            run_diffusion(case1_damped, np.zeros(5), mode="vlu", seq=UpdateSequence.round_robin(5))
-        with pytest.raises(ValueError, match="every"):
-            run_diffusion(case1_damped, np.zeros(5), mode="clu", seq=UpdateSequence.round_robin(5), every=0)
+    def test_argument_validation(self, case1_damped):
+        with pytest.raises(ValueError, match="every must be positive"):
+            run_diffusion(case1_damped, np.zeros(5), seq=UpdateSequence.round_robin(5), every=0)
         with pytest.raises(ValueError, match="every step"):
-            run_diffusion(case1_damped, np.zeros(5), mode="vlu", every=5)
+            run_diffusion(case1_damped, np.zeros(5), every=5)
+        with pytest.raises(ValueError, match="sequence dimension 4 != matrix dimension 5"):
+            run_diffusion(case1_damped, np.zeros(5), seq=UpdateSequence.round_robin(4))
 
     # Signed f0 * 1e3 on the benchmark's seeded graph: the running residual
     # drifts from l1(F) by more than tol. At n=200 it used to read converged
@@ -200,7 +193,7 @@ class TestRunDiffusion:
         m = seeded_link_matrix(n, seed).scaled(0.85)
         f0 = 1e3 * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         stop = StoppingRule(tol=1e-10, max_steps=100_000)
-        run = run_diffusion(m, f0, mode="clu", seq=UpdateSequence.round_robin(n), stop=stop)
+        run = run_diffusion(m, f0, seq=UpdateSequence.round_robin(n), stop=stop)
         assert run.converged
         assert run.state.residual_l1() <= 1e-10
         assert run.trace[-1].residual_l1 == run.state.residual_l1()
@@ -214,7 +207,7 @@ class TestRunDiffusion:
         m = SparseColumnMatrix.from_dense(np.full((2, 2), 1e300))
         seq = UpdateSequence.round_robin(2) if mode == "clu" else None
         with np.errstate(over="ignore", invalid="ignore"):
-            run = run_diffusion(m, [1.0, 2.0], mode=mode, seq=seq, stop=StoppingRule(tol=1e-10, max_steps=50))
+            run = run_diffusion(m, [1.0, 2.0], seq=seq, stop=StoppingRule(tol=1e-10, max_steps=50))
         assert run.status == "non_finite"
         assert not run.converged
         assert run.steps <= 2
@@ -222,7 +215,7 @@ class TestRunDiffusion:
 
     def test_non_finite_start_is_reported(self, case1_damped, clu_path):
         f0 = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
-        run = run_diffusion(case1_damped, f0, mode="clu", seq=UpdateSequence.round_robin(5))
+        run = run_diffusion(case1_damped, f0, seq=UpdateSequence.round_robin(5))
         assert run.status == "non_finite" and run.steps == 0
 
 
@@ -259,7 +252,7 @@ class TestCoordinateDriver:
         max_steps = windows * every + (every // 2 + 1 if mid_window and every > 1 else 0)
         tol = 0.05 * l1_norm(f0) if use_tol else None
 
-        run = run_diffusion(m, f0, mode="clu", seq=seq, stop=StoppingRule(tol=tol, max_steps=max_steps),
+        run = run_diffusion(m, f0, seq=seq, stop=StoppingRule(tol=tol, max_steps=max_steps),
                             every=every)
         engine, exact = engine_clu(m, f0, seq, run.steps)
 
@@ -330,7 +323,7 @@ class TestVectorDriver:
             ]:
                 m = random_sparse(rng, n, scale)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    run = run_diffusion(m, f0, mode="vlu", stop=stop)
+                    run = run_diffusion(m, f0, stop=stop)
                     want = self.engine(m, f0, stop)
                 assert run.status == end, (n, end)
                 assert self.bits(run.state, run.status) == self.bits(*want), (n, end)
@@ -383,7 +376,7 @@ class TestExactRecord:
         m = SparseColumnMatrix.from_dense(np.full((3, 3), 1e300))
         stop = StoppingRule(tol=None, max_steps=10)
         with np.errstate(over="ignore", invalid="ignore"):
-            run = run_diffusion(m, [1.0, 1.0, 1.0], mode="clu", seq=UpdateSequence.round_robin(3), stop=stop)
+            run = run_diffusion(m, [1.0, 1.0, 1.0], seq=UpdateSequence.round_robin(3), stop=stop)
         assert run.status == "non_finite" and run.steps == 3
         assert [r.contracted for r in run.trace[1:3]] == [0.0, 0.0]  # -inf clamps to 0
         assert np.isnan(run.trace[3].contracted)

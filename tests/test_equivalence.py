@@ -64,14 +64,15 @@ class TestToDiffusion:
         np.testing.assert_array_equal(eq.f0, b)
 
     @pytest.mark.parametrize("kind", ["PI", "Jac"])
-    def test_vector_level_form_drops_the_sequence(self, kind, case1):
+    def test_vector_level_spec_rejects_a_sequence(self, kind, case1):
         m = case1.q.scaled(case1.d)
         e = uniform_vector(5)
-        seq = UpdateSequence.round_robin(5)
-        spec = SchemeSpec(kind, m, x0=e, seq=seq) if kind == "PI" else SchemeSpec(kind, m, b=e, seq=seq)
-        eq = to_diffusion(spec)
+        data = {"x0": e} if kind == "PI" else {"b": e}
+        with pytest.raises(ValueError, match="takes no sequence"):
+            SchemeSpec(kind, m, seq=UpdateSequence.round_robin(5), **data)
+        eq = to_diffusion(SchemeSpec(kind, m, **data))
         assert eq.mode == "vlu" and eq.seq is None
-        run = run_diffusion(eq.matrix, eq.f0, mode=eq.mode, seq=eq.seq,
+        run = run_diffusion(eq.matrix, eq.f0, seq=eq.seq,
                             stop=StoppingRule(tol=None, max_steps=3))
         assert run.steps == 3
 

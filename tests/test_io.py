@@ -165,6 +165,22 @@ class TestMatrixMarket:
         with pytest.raises(ParseError, match=r":4: entry \(3, 1\) outside 1..2"):
             self._read(tmp_path, HEADER + "2 2 3\n1 1 1.0\n3 1 1.0\n1 x 2.0\n")
 
+    @pytest.mark.parametrize("bad, message", [("991 x 1.0", "malformed entry '991 x 1.0'"),
+                                              ("991 991 nan", "non-finite value 'nan'")])
+    def test_bad_entry_is_located_with_few_parses(self, tmp_path, monkeypatch, bad, message):
+        entries = [f"{k} {k} 1.0" for k in range(1, 1001)]
+        entries[990] = bad  # on line 993
+        real_loadtxt, calls = np.loadtxt, []
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(None)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        with pytest.raises(ParseError, match=rf":993: {message}"):
+            self._read(tmp_path, HEADER + "1000 1000 1000\n" + "\n".join(entries) + "\n")
+        assert len(calls) <= 16
+
     def test_duplicate_stored_zero_is_rejected(self, tmp_path):
         with pytest.raises(ParseError, match=r":4: duplicate entry \(1, 1\), first seen on line 3"):
             self._read(tmp_path, HEADER + "2 2 2\n1 1 0.0\n1 1 2.0\n")

@@ -279,6 +279,24 @@ def run_diffusion(
     return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
 
 
+def _bind(m: SparseColumnMatrix, state: DiffusionState, order: np.ndarray | None = None,
+          acc: np.ndarray | None = None, delivered: np.ndarray | None = None):
+    """A step function of :mod:`._clu` bound to ``m`` and to ``state``'s F and H.
+
+    Coordinate-level along ``order``, updating ``acc`` and ``delivered`` in
+    place too; else vector-level, or None when there is no compiler.
+    """
+    kernels = _clu.load()
+    rows = np.ascontiguousarray(m.rows, dtype=np.int64)
+    vals = np.ascontiguousarray(m.vals, dtype=np.float64)
+    if order is not None:
+        return kernels.clu(order, np.ascontiguousarray(m.indptr, dtype=np.int64), rows, vals,
+                           state.f, state.h, acc, delivered)
+    if kernels.vlu is None:
+        return None
+    return kernels.vlu(rows, np.ascontiguousarray(m.cols, dtype=np.int64), vals, state.f, state.h)
+
+
 def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:
     """Vector-level steps; mutates ``state``, returns the status.
 
@@ -289,22 +307,17 @@ def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -
     step order gives the same totals. Without a compiler the steps are
     :func:`diffuse_vector` itself.
     """
-    bind = _clu.load().vlu
+    steps = _bind(m, state)
     status = "budget"
-    if bind is None:
-        while status == "budget" and state.step < stop.max_steps:
-            diffuse_vector(state, m)
-            status = _status(state.trace[-1].residual_l1, stop.tol)
-        return status
-    steps = bind(np.ascontiguousarray(m.rows, dtype=np.int64),
-                 np.ascontiguousarray(m.cols, dtype=np.int64),
-                 np.ascontiguousarray(m.vals, dtype=np.float64), state.f, state.h)
     stop_at = -1.0 if stop.tol is None else stop.tol
     while status == "budget" and state.step < stop.max_steps:
-        for row in steps(stop.max_steps - state.step, stop_at):
-            state.step += 1
-            state.delivered += m.nnz
-            state.record(*row)
+        if steps is None:
+            diffuse_vector(state, m)
+        else:
+            for row in steps(stop.max_steps - state.step, stop_at):
+                state.step += 1
+                state.delivered += m.nnz
+                state.record(*row)
         status = _status(state.trace[-1].residual_l1, stop.tol)
     return status
 
@@ -332,10 +345,7 @@ def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
     # running residual, window cancelled, window contracted, total cancelled, total contracted
     acc = np.array([state.residual_l1(), 0.0, 0.0, state.total_cancelled, state.total_contracted])
     delivered = np.array([state.delivered], dtype=np.int64)
-    steps = _clu.load().clu(order, np.ascontiguousarray(m.indptr, dtype=np.int64),
-                            np.ascontiguousarray(m.rows, dtype=np.int64),
-                            np.ascontiguousarray(m.vals, dtype=np.float64),
-                            state.f, state.h, acc, delivered)
+    steps = _bind(m, state, order, acc, delivered)
     status = "budget"
     step = state.step  # 0: run_diffusion starts every run afresh
     while status == "budget" and step < stop.max_steps:

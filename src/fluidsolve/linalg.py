@@ -12,8 +12,7 @@ internal locking anywhere.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,11 +128,6 @@ class SparseColumnMatrix:
         return cls.from_entries(a.shape[0], i, j, a[i, j])
 
     @classmethod
-    def identity(cls, n: int) -> "SparseColumnMatrix":
-        i = np.arange(n)
-        return cls.from_entries(n, i, i, np.ones(i.size))
-
-    @classmethod
     def zero(cls, n: int) -> "SparseColumnMatrix":
         return cls.from_entries(n, np.empty(0, np.int64), np.empty(0, np.int64), [])
 
@@ -221,14 +215,6 @@ class UpdateSequence:
     def period(self) -> np.ndarray:
         """One period of the sequence as a fresh int64 array; the stream repeats it."""
         return self._period.copy()
-
-    def iter_indices(self) -> Iterator[int]:
-        """Fresh infinite iterator over the sequence."""
-        return itertools.cycle(self._period.tolist())
-
-    def take(self, k: int) -> list[int]:
-        """First ``k`` indices of a fresh iteration."""
-        return list(itertools.islice(self.iter_indices(), k))
 
     def __repr__(self) -> str:
         return f"UpdateSequence({self.kind}, n={self.n})"

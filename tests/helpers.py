@@ -1,9 +1,11 @@
-"""Shared test utilities: random problem instances, dense brute-force oracles and
-the textbook scheme driver :func:`run_scheme`."""
+"""Shared test utilities: random problem instances, dense brute-force oracles, the
+textbook scheme driver :func:`run_scheme` and the per-step lockstep reference
+:func:`verify_reference`."""
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,15 +13,19 @@ import numpy as np
 
 from fluidsolve import (
     DiffusionState,
+    EquivalenceReport,
     RowView,
     SchemeSpec,
     SparseColumnMatrix,
     StoppingRule,
+    UpdateSequence,
     diffuse_coordinate,
+    diffuse_vector,
     step_gsa,
     step_gsl,
     step_jacobi,
     step_pi,
+    to_diffusion,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +37,22 @@ def perfbench_graphs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def identity(n: int) -> SparseColumnMatrix:
+    """The n x n identity matrix."""
+    i = np.arange(n)
+    return SparseColumnMatrix.from_entries(n, i, i, np.ones(n))
+
+
+def iter_indices(seq: UpdateSequence):
+    """Fresh infinite iterator over the 0-based indices of ``seq``."""
+    return itertools.cycle(seq.period().tolist())
+
+
+def take(seq: UpdateSequence, k: int) -> list[int]:
+    """First ``k`` indices of ``seq``."""
+    return list(itertools.islice(iter_indices(seq), k))
 
 
 def seeded_link_matrix(n: int, seed: int) -> SparseColumnMatrix:
@@ -47,7 +69,7 @@ def engine_clu(m: SparseColumnMatrix, f0, seq, steps: int):
     """
     state = DiffusionState.start(f0)
     exact = [state.residual_l1()]
-    indices = seq.iter_indices()
+    indices = iter_indices(seq)
     for _ in range(steps):
         diffuse_coordinate(state, m, next(indices))
         exact.append(state.residual_l1())
@@ -155,7 +177,7 @@ def run_scheme(
     deltas: list[float] = []
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
     row_view = RowView(p) if spec.coordinate_level else None
-    indices = spec.seq.iter_indices() if spec.coordinate_level else None
+    indices = iter_indices(spec.seq) if spec.coordinate_level else None
 
     updates = 0
     converged = False
@@ -184,3 +206,45 @@ def run_scheme(
             converged = True
             break
     return SchemeRun(x=x, iteration_deltas=deltas, converged=converged, updates=updates, iterates=iterates)
+
+
+def verify_reference(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
+    """Lockstep reference for ``verify_equivalence``: the per-step engine against the scheme.
+
+    One ``diffuse_coordinate``/``diffuse_vector`` call and one ``step_*`` call per
+    step, each discrepancy a fresh ``np.abs(...).sum()``, folded with ``np.maximum``
+    so that a NaN is kept.
+    """
+    equiv = to_diffusion(spec)
+    p = spec.matrix
+    state = DiffusionState.start(equiv.f0)
+    x = spec.initial_vector()
+    max_disc = float(np.abs(x - equiv.reconstruct(state.h)).sum())
+
+    track_pi = spec.kind == "PI"
+    max_fluid = max_hist = None
+    if track_pi:
+        x_next = step_pi(x, p)
+        max_fluid = float(np.abs(state.f - (x_next - x)).sum())
+        max_hist = float(np.abs(state.h - (x - spec.x0)).sum())
+
+    row_view = RowView(p) if spec.coordinate_level else None
+    indices = iter_indices(spec.seq) if spec.coordinate_level else None
+    for _ in range(n_steps):
+        if spec.coordinate_level:
+            i = next(indices)
+            diffuse_coordinate(state, p, i)
+            x = (step_gsl(x, p, i, row_view) if spec.kind == "GSl"
+                 else step_gsa(x, p, spec.b, i, row_view))
+        else:
+            diffuse_vector(state, p)
+            if spec.kind == "PI":
+                x = x_next
+                x_next = step_pi(x, p)
+            else:
+                x = step_jacobi(x, p, spec.b)
+        max_disc = float(np.maximum(max_disc, np.abs(x - equiv.reconstruct(state.h)).sum()))
+        if track_pi:
+            max_fluid = float(np.maximum(max_fluid, np.abs(state.f - (x_next - x)).sum()))
+            max_hist = float(np.maximum(max_hist, np.abs(state.h - (x - spec.x0)).sum()))
+    return EquivalenceReport(spec.kind, n_steps, max_disc, max_fluid, max_hist)

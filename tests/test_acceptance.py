@@ -40,6 +40,7 @@ from helpers import (
     ROOT,
     dense_gauss_seidel_residuals,
     fit_log_slope,
+    iter_indices,
     random_signed_vector,
     random_substochastic,
     run_scheme,
@@ -227,7 +228,7 @@ def test_criterion_6_case4_cancellation_split():
 def _checked_run(m, f0, mode, seq, max_steps):
     """Replay a diffusion run, asserting both identities after every step."""
     state = DiffusionState.start(f0)
-    indices = seq.iter_indices() if seq is not None else None
+    indices = iter_indices(seq) if seq is not None else None
     worst_conservation = 0.0
     worst_accounting = 0.0
     for _ in range(max_steps):

@@ -8,6 +8,7 @@ import pytest
 
 from fluidsolve import (
     DiffusionState,
+    EquivalenceReport,
     aggregate_sweeps,
     diffuse_vector,
     load_case,
@@ -15,6 +16,7 @@ from fluidsolve import (
     uniform_vector,
     write_trace_csv,
 )
+from fluidsolve import cli
 from fluidsolve.cli import (
     EXIT_INPUT,
     EXIT_NOT_CONVERGED,
@@ -29,7 +31,7 @@ from fluidsolve.cli import (
     run_experiment,
     run_verification,
 )
-from helpers import ROOT, engine_clu, fit_log_slope, perfbench_graphs, read_trace_csv
+from helpers import ROOT, engine_clu, fit_log_slope, perfbench_graphs, read_trace_csv, take
 
 CASE1_MM = """%%MatrixMarket matrix coordinate real general
 5 5 6
@@ -54,10 +56,10 @@ OVERFLOW_MM = """%%MatrixMarket matrix coordinate real general
 class TestMakeSequence:
     def test_round_robin_aliases(self):
         for spec in ("roundrobin", "round-robin", "Round_Robin"):
-            assert make_sequence(spec, 4).take(4) == [0, 1, 2, 3]
+            assert take(make_sequence(spec, 4), 4) == [0, 1, 2, 3]
 
     def test_one_based_list(self):
-        assert make_sequence("3,1,2", 3).take(3) == [2, 0, 1]
+        assert take(make_sequence("3,1,2", 3), 3) == [2, 0, 1]
 
     def test_rejects_junk_and_out_of_range(self):
         with pytest.raises(ValueError, match="bad sequence"):
@@ -277,6 +279,30 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         assert (tmp_path / "verify.csv").exists()
         assert "max discrepancy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, schemes", [
+        (["case", "case1"], "PI"), (["verify"], "PI,Jac"), (["cancel-report", "case1"], None)])
+    def test_seq_is_parsed_only_for_gauss_seidel(self, tmp_path, command, schemes):
+        # index 9 is outside 1..5: an error for GSl/GSa, never read by PI or Jac
+        select = ["--scheme", "PI"] if schemes is None else ["--schemes", schemes]
+        outputs = []
+        for extra, out in (([], tmp_path / "plain"), (["--seq", "9"], tmp_path / "seq9")):
+            assert main([*command, *select, *extra, "--out", str(out)]) == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] and outputs[0] == outputs[1]
+        gauss = ["--scheme", "GSa"] if schemes is None else ["--schemes", "GSa"]
+        bad = tmp_path / "bad"
+        assert main([*command, *gauss, "--seq", "9", "--out", str(bad)]) == EXIT_INPUT
+
+    def test_verify_fails_on_a_nan_discrepancy(self, tmp_path, capsys, monkeypatch):
+        def nan_report(spec, n_steps):
+            return EquivalenceReport(spec.kind, n_steps, math.nan if spec.kind == "Jac" else 0.0)
+
+        monkeypatch.setattr(cli, "verify_equivalence", nan_report)
+        code = main(["verify", "--out", str(tmp_path)])
+        assert code == EXIT_NOT_CONVERGED
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 4 and out.count("[ok]") == 12
 
     def test_cancel_report_subcommand(self, tmp_path, capsys):
         code = main(["cancel-report", "case4", "--scheme", "PI", "--steps", "10",

@@ -19,21 +19,14 @@ from fluidsolve import (
 )
 from fluidsolve import _clu
 from fluidsolve.diffusion import _run_vlu
-from helpers import engine_clu, random_signed_vector, random_substochastic, seeded_link_matrix
-
-
-@pytest.fixture(params=["kernel", "fallback"])
-def clu_path(request, monkeypatch):
-    """Runs through the compiled kernel or as without a compiler (None: unchanged).
-
-    Without a compiler, coordinate-level runs use the kernel's Python twin and
-    vector-level runs call diffuse_vector once per step.
-    """
-    if request.param == "fallback":
-        monkeypatch.setattr(_clu, "load", lambda: _clu.FALLBACK)
-    elif request.param == "kernel" and _clu.load() is _clu.FALLBACK:
-        pytest.skip("no C compiler to build the diffusion kernel")
-    return request.param
+from helpers import (
+    engine_clu,
+    identity,
+    iter_indices,
+    random_signed_vector,
+    random_substochastic,
+    seeded_link_matrix,
+)
 
 
 @pytest.fixture
@@ -125,7 +118,7 @@ class TestVectorStep:
         np.testing.assert_array_equal(state.h, np.zeros(5))
 
     def test_identity_matrix_moves_nothing_loses_nothing(self):
-        m = SparseColumnMatrix.identity(4)
+        m = identity(4)
         f0 = np.array([0.5, -0.25, 0.0, 1.0])
         state = DiffusionState.start(f0)
         for k in range(3):
@@ -392,7 +385,7 @@ class TestInvariants:
         m, _ = random_substochastic(rng, n)
         f0 = random_signed_vector(rng, n)
         state = DiffusionState.start(f0)
-        seq = UpdateSequence.round_robin(n).iter_indices()
+        seq = iter_indices(UpdateSequence.round_robin(n))
         for _ in range(6 * n):
             if mode == "clu":
                 diffuse_coordinate(state, m, next(seq))
@@ -408,7 +401,7 @@ class TestInvariants:
         n = int(rng.integers(2, 10))
         m, _ = random_substochastic(rng, n)
         state = DiffusionState.start(random_signed_vector(rng, n))
-        seq = UpdateSequence.round_robin(n).iter_indices()
+        seq = iter_indices(UpdateSequence.round_robin(n))
         for _ in range(6 * n):
             before = l1_norm(state.f)
             if mode == "clu":
@@ -427,7 +420,7 @@ class TestInvariants:
         n = int(rng.integers(2, 10))
         m, _ = random_substochastic(rng, n)
         state = DiffusionState.start(rng.random(n))
-        seq = UpdateSequence.round_robin(n).iter_indices()
+        seq = iter_indices(UpdateSequence.round_robin(n))
         prev_h = state.h.copy()
         for k in range(6 * n):
             if k % 2 == 0:
@@ -452,7 +445,7 @@ class TestInvariants:
             assert l1_norm(state.f) <= d * before + 1e-12
         # coordinate steps only promise monotone decrease for nonnegative m
         state = DiffusionState.start(random_signed_vector(rng, n))
-        seq = UpdateSequence.round_robin(n).iter_indices()
+        seq = iter_indices(UpdateSequence.round_robin(n))
         for _ in range(4 * n):
             before = l1_norm(state.f)
             diffuse_coordinate(state, m, next(seq))

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,14 @@ from fluidsolve import (
     verify_equivalence,
 )
 from fluidsolve.equivalence import diffusion_form
-from helpers import random_signed_vector, random_substochastic, run_scheme
+from helpers import (
+    identity,
+    random_signed_vector,
+    random_substochastic,
+    run_scheme,
+    seeded_link_matrix,
+    verify_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +165,7 @@ class TestPagerankMatrix:
         np.testing.assert_allclose(p.to_dense(), expected, rtol=0, atol=1e-15)
 
     def test_refuses_large_n(self):
-        big = SparseColumnMatrix.identity(1001)
+        big = identity(1001)
         with pytest.raises(ValueError, match="refusing"):
             pagerank_matrix(big, 0.85)
 
@@ -175,7 +185,7 @@ class TestDenseSolveOracle:
 
     def test_singular_raises(self):
         with pytest.raises(ValueError, match="singular"):
-            dense_solve_oracle(SparseColumnMatrix.identity(3), np.ones(3))
+            dense_solve_oracle(identity(3), np.ones(3))
 
     def test_size_limit(self):
         big = SparseColumnMatrix.zero(1001)
@@ -204,6 +214,12 @@ class TestVerifyEquivalence:
     def test_zero_steps_boundary(self, p_full):
         report = verify_equivalence(SchemeSpec("PI", p_full, x0=uniform_vector(5)), 0)
         assert report.max_discrepancy == 0.0
+        assert report.max_fluid_discrepancy == report.max_history_discrepancy == 0.0
+        seq, e = UpdateSequence.round_robin(5), uniform_vector(5)
+        for spec in (SchemeSpec("GSl", p_full, x0=e, seq=seq), SchemeSpec("Jac", p_full, b=e),
+                     SchemeSpec("GSa", p_full, b=e, seq=seq)):
+            report = verify_equivalence(spec, 0)
+            assert (report.steps, report.max_discrepancy) == (0, 0.0)
 
     @pytest.mark.parametrize("kind", ["PI", "GSl", "Jac", "GSa"])
     def test_random_instances(self, kind):
@@ -220,6 +236,71 @@ class TestVerifyEquivalence:
                                   seq=seq if kind == "GSa" else None)
             report = verify_equivalence(spec, 10 * n)
             assert report.max_discrepancy <= 1e-10
+
+
+def _bits(report):
+    """The report's discrepancies as exact hex strings (None where not reported)."""
+    return [None if v is None else float(v).hex() for v in
+            (report.max_discrepancy, report.max_fluid_discrepancy, report.max_history_discrepancy)]
+
+
+class TestVerifyMatchesReference:
+    """verify_equivalence reports the bits of the per-step lockstep loop, verify_reference."""
+
+    @pytest.mark.parametrize("order", ["roundrobin", "permuted"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 17, 129, 300])
+    def test_bitwise_equal(self, clu_path, n, order):
+        rng = np.random.default_rng(1000 * n + (order == "permuted"))
+        m, _ = random_substochastic(rng, n, density=min(0.6, 8 / n))
+        if order == "roundrobin":
+            seq = UpdateSequence.round_robin(n)
+        else:  # every coordinate, then repeats, shuffled
+            idx = np.concatenate([np.arange(n), rng.integers(0, n, n // 2 + 1)])
+            seq = UpdateSequence.explicit(n, rng.permutation(idx))
+        block = 2**16 // n  # steps the implementation compares at once
+        for kind in ("PI", "GSl", "Jac", "GSa"):
+            v = random_signed_vector(rng, n)
+            if kind in ("PI", "GSl"):
+                spec = SchemeSpec(kind, m, x0=v, seq=seq if kind == "GSl" else None)
+            else:
+                spec = SchemeSpec(kind, m, b=v, seq=seq if kind == "GSa" else None)
+            # several blocks where that stays cheap: GS at n >= 129, PI/Jac at n = 300
+            steps = 4 * n if spec.coordinate_level else (block + 3 if n == 300 else 40)
+            got = verify_equivalence(spec, steps)
+            want = verify_reference(spec, steps)
+            assert math.isfinite(want.max_discrepancy)
+            assert (got.scheme, got.steps) == (kind, steps)
+            assert _bits(got) == _bits(want), kind
+
+    @pytest.mark.parametrize("kind, steps", [("Jac", 6), ("GSa", 12), ("PI", 6), ("GSl", 12)])
+    def test_overflow_is_reported_not_agreement(self, clu_path, kind, steps):
+        # the iterates reach inf and then NaN; folding with Python's max dropped the NaN
+        m = SparseColumnMatrix.from_dense([[0.0, 1e300], [1e300, 0.0]])
+        seq = UpdateSequence.round_robin(2) if kind in ("GSl", "GSa") else None
+        if kind in ("PI", "GSl"):
+            spec = SchemeSpec(kind, m, x0=[0.5, 0.5], seq=seq)
+        else:
+            spec = SchemeSpec(kind, m, b=[1.0, -1.0], seq=seq)
+        with np.errstate(all="ignore"):
+            report = verify_equivalence(spec, steps)
+        assert not math.isfinite(report.max_discrepancy)
+        assert not report.max_discrepancy <= 1e-10  # so `verify` flags it FAIL
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 4n steps of GSa at n = 3000: snapshots of every step would take 290 MB per buffer
+        n = 3000
+        q = seeded_link_matrix(n, 1)
+        spec = SchemeSpec("GSa", q.scaled(0.85), b=0.15 * uniform_vector(n),
+                          seq=UpdateSequence.round_robin(n))
+        verify_equivalence(spec, 1)  # build the kernel outside the measurement
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(spec, 4 * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_discrepancy <= 1e-10
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_fixed_point_agreement_across_schemes():

@@ -20,7 +20,7 @@ from fluidsolve import (
     step_pi,
     uniform_vector,
 )
-from helpers import random_signed_vector, random_substochastic, run_scheme
+from helpers import identity, random_signed_vector, random_substochastic, run_scheme
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ class TestSteps:
     def test_pi_trivial_matrices(self):
         v = np.array([1.0, 2.0, -3.0])
         np.testing.assert_array_equal(step_pi(v, SparseColumnMatrix.zero(3)), np.zeros(3))
-        np.testing.assert_array_equal(step_pi(v, SparseColumnMatrix.identity(3)), v)
+        np.testing.assert_array_equal(step_pi(v, identity(3)), v)
 
     def test_gsl_single_coordinate(self, p_full):
         x = step_gsl(uniform_vector(5), p_full, 0)
@@ -56,7 +56,7 @@ class TestSteps:
 
     def test_gsl_identity_noop(self):
         v = np.array([1.0, -2.0, 0.5])
-        m = SparseColumnMatrix.identity(3)
+        m = identity(3)
         for i in range(3):
             np.testing.assert_array_equal(step_gsl(v, m, i), v)
 

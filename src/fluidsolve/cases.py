@@ -52,13 +52,6 @@ _CASE_ROWS = {
     ],
 }
 
-_CASE_DESCRIPTIONS = {
-    "case1": "cycle of 5 nodes, node 5 splits back to nodes 1 and 2",
-    "case2": "cycle with a branch: node 3 splits to nodes 1 and 4",
-    "case3": "cycle with two branching nodes (2 and 3)",
-    "case4": "chain into a 99% self-loop at node 5, 1% leak back to node 1",
-}
-
 BUILTIN_CASES = tuple(sorted(_CASE_ROWS))
 
 
@@ -69,7 +62,6 @@ class CaseDefinition:
     name: str
     q: SparseColumnMatrix
     d: float = DEFAULT_DAMPING
-    description: str = ""
 
 
 def load_case(name: str) -> CaseDefinition:
@@ -81,4 +73,4 @@ def load_case(name: str) -> CaseDefinition:
         rows, vals = q.column(j)
         if float(vals.sum()) != 1.0:
             raise AssertionError(f"{name}: column {j} sums to {float(vals.sum())!r}, not 1")
-    return CaseDefinition(name=name, q=q, d=DEFAULT_DAMPING, description=_CASE_DESCRIPTIONS[name])
+    return CaseDefinition(name=name, q=q, d=DEFAULT_DAMPING)

@@ -200,12 +200,7 @@ def run_custom(matrix_path, cfg: RunConfig, b_path=None, x0_path=None,
         x0 = read_vector(x0_path)
         if x0.shape[0] != q.n:
             raise ValueError(f"x0 has {x0.shape[0]} entries but the matrix is {q.n}x{q.n}")
-    case = CaseDefinition(
-        name=name or Path(matrix_path).stem,
-        q=q,
-        d=d,
-        description=f"custom matrix from {matrix_path}",
-    )
+    case = CaseDefinition(name=name or Path(matrix_path).stem, q=q, d=d)
     return run_experiment(case, cfg, b=b, x0=x0)
 
 

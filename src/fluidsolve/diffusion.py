@@ -287,14 +287,11 @@ def _bind(m: SparseColumnMatrix, state: DiffusionState, order: np.ndarray | None
     place too; else vector-level, or None when there is no compiler.
     """
     kernels = _clu.load()
-    rows = np.ascontiguousarray(m.rows, dtype=np.int64)
-    vals = np.ascontiguousarray(m.vals, dtype=np.float64)
     if order is not None:
-        return kernels.clu(order, np.ascontiguousarray(m.indptr, dtype=np.int64), rows, vals,
-                           state.f, state.h, acc, delivered)
+        return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, delivered)
     if kernels.vlu is None:
         return None
-    return kernels.vlu(rows, np.ascontiguousarray(m.cols, dtype=np.int64), vals, state.f, state.h)
+    return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h)
 
 
 def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .diffusion import DiffusionState, _bind, diffuse_vector
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector, l1_norm, sigma, uniform_vector
-from .schemes import RowView, SchemeSpec, step_jacobi, step_pi
+from .schemes import RowView, SchemeSpec, _check_sequence, step_gsa, step_gsl, step_jacobi, step_pi
 
 __all__ = [
     "DiffusionEquivalent",
@@ -149,7 +149,7 @@ def diffusion_form(
     and x0 = e for the linear ones. The linear schemes never materialize the
     dense rank-one part; their form runs on d*Q with the constant folded
     into the initial fluid f0 = d Q x0 + (1-d) e - x0. ``seq`` is the update
-    order of the coordinate-level schemes (GSl, GSa); PI and Jac ignore it.
+    order that GSl and GSa need and that PI and Jac reject, as :class:`SchemeSpec` does.
 
     For PI this is the exact twin of power iteration on
     P = d*Q + (1-d)/n * ones, because every PI iterate keeps sigma(x) = 1.
@@ -166,8 +166,8 @@ def diffusion_form(
     if not 0.0 < d < 1.0:
         raise ValueError(f"damping factor must lie in (0, 1), got {d}")
     n = q.n
-    seq = seq if scheme in ("GSl", "GSa") else None
     if scheme in ("PI", "GSl"):
+        _check_sequence(scheme, seq)  # SchemeSpec checks the other schemes
         # one call site, so the default filter shows a column-sum warning once per run
         return pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n), seq=seq)
     b = b if b is not None else (1.0 - d) * uniform_vector(n)
@@ -224,8 +224,8 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     One vector-level diffusion step pairs with one PI/Jac iteration; one
     coordinate-level step pairs with one Gauss-Seidel coordinate update on
     the same index. Reports the max over steps of l1(x_n - (H_n + offset)),
-    a NaN (an overflowed iterate) included. Never raises on mismatch. The
-    twin takes one step per call of the step function that ``run_diffusion``
+    a NaN (an overflowed iterate) included. Never raises on mismatch. Each step
+    is one ``step_*`` call and one call of the step function ``run_diffusion``
     runs. Both sides are copied into buffers of at most 2**16 doubles, each
     compared in one reduction with the bits of a per-step ``np.abs(...).sum()``.
     """
@@ -238,7 +238,7 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     order = spec.seq.period() if spec.coordinate_level else None
     twin = _bind(p, state, order, np.zeros(5), np.zeros(1, dtype=np.int64))
     if order is not None:
-        indices, row_view = order.tolist(), RowView(p)
+        indices, view = order.tolist(), RowView(p)
     track_pi = kind == "PI"
 
     block = max(1, 2**16 // n)
@@ -254,7 +254,7 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
                 pos = (t - 1) % order.size
                 twin(1, pos, -1.0)
                 i = indices[pos]
-                x[i] = row_view.row_dot(i, x) if b is None else row_view.row_dot(i, x) + b[i]
+                x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
             elif t:
                 if twin is None:  # no compiler: the reference step, as in run_diffusion
                     diffuse_vector(state, p)

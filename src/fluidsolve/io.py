@@ -108,12 +108,17 @@ def _first_bad_entry(path, size_lineno: int, n: int, nnz: int) -> ParseError:
     holds the first line that does not parse (O(log nnz) calls). The entries before that line
     are checked as arrays, in the order the messages below are tried.
     """
+    import array  # only a rejected file pays for this import
+
+    linenos, lines = array.array("q"), []  # the first nnz + 1 entry lines and their numbers
     with open(path, "r", encoding="utf-8") as fh, _strict_loadtxt():
         numbered = itertools.islice(enumerate(fh, start=1), size_lineno, None)
-        entries = list(itertools.islice(
-            ((lineno, line) for lineno, line in numbered if not _SKIPPED.match(line)), nnz + 1))
-        lines = [line for _, line in entries[:nnz]]
-        blocks, lo, hi, mid = [np.empty(0, dtype=_ENTRY)], 0, len(lines), len(lines)
+        entries = ((lineno, line) for lineno, line in numbered if not _SKIPPED.match(line))
+        for lineno, line in itertools.islice(entries, nnz + 1):
+            linenos.append(lineno)
+            lines.append(line)
+        size = min(len(lines), nnz)
+        blocks, lo, hi, mid = [np.empty(0, dtype=_ENTRY)], 0, size, size
         while lo < mid:  # lines[:lo] parse; if lo < hi, lines[lo:hi] holds one that does not
             try:
                 blocks.append(np.loadtxt(lines[lo:mid], dtype=_ENTRY, comments=None, ndmin=1))
@@ -132,22 +137,22 @@ def _first_bad_entry(path, size_lineno: int, n: int, nnz: int) -> ParseError:
     bad = np.flatnonzero(~np.isfinite(parsed["v"]) | outside | repeated)
     if bad.size:
         k = int(bad[0])
-        (lineno, line), (ik, jk, value) = entries[k], parsed[k].tolist()
+        lineno, line, (ik, jk, value) = linenos[k], lines[k], parsed[k].tolist()
         if not math.isfinite(value):
             return _fail(path, lineno, f"non-finite value {line.split()[2]!r}")
         if outside[k]:
             return _fail(path, lineno, f"entry ({ik}, {jk}) outside 1..{n}")
-        seen = entries[first[np.searchsorted(unique_pos, pos[k])]][0]
+        seen = linenos[first[np.searchsorted(unique_pos, pos[k])]]
         return _fail(path, lineno, f"duplicate entry ({ik}, {jk}), first seen on line {seen}")
-    if len(parsed) < len(lines):
-        lineno, line = entries[len(parsed)]
+    if len(parsed) < size:
+        lineno, line = linenos[len(parsed)], lines[len(parsed)]
         if len(line.split()) != 3:
             return _fail(path, lineno, "entry line must be 'row col value'")
         return _fail(path, lineno, "malformed entry " + repr(line.rstrip("\n")))
-    if len(entries) > nnz:
-        return _fail(path, entries[nnz][0], f"more than the declared {nnz} entries")
-    last = entries[-1][0] if entries else size_lineno
-    return _fail(path, last, f"expected {nnz} entries, found {len(entries)}")
+    if len(lines) > nnz:
+        return _fail(path, linenos[nnz], f"more than the declared {nnz} entries")
+    last = linenos[-1] if lines else size_lineno
+    return _fail(path, last, f"expected {nnz} entries, found {len(lines)}")
 
 
 def read_vector(path) -> np.ndarray:

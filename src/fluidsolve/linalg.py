@@ -184,19 +184,18 @@ class UpdateSequence:
     construction otherwise).
     """
 
-    __slots__ = ("kind", "n", "_period")
+    __slots__ = ("n", "_period")
 
-    def __init__(self, kind: str, n: int, period: np.ndarray):
+    def __init__(self, n: int, period: np.ndarray):
         if n <= 0:
             raise ValueError("dimension must be positive")
-        self.kind = kind
         self.n = int(n)
         self._period = period
 
     @classmethod
     def round_robin(cls, n: int) -> "UpdateSequence":
         """0, 1, ..., n-1, 0, 1, ... — every window of n outputs is a permutation."""
-        return cls("round_robin", n, np.arange(n, dtype=np.int64))
+        return cls(n, np.arange(n, dtype=np.int64))
 
     @classmethod
     def explicit(cls, n: int, indices: Sequence[int]) -> "UpdateSequence":
@@ -210,11 +209,11 @@ class UpdateSequence:
         missing = np.setdiff1d(np.arange(n), idx)
         if missing.size:
             raise ValueError(f"unfair sequence: coordinates {missing.tolist()} never appear")
-        return cls("explicit_list", n, idx.astype(np.int64))
+        return cls(n, idx.astype(np.int64))
 
     def period(self) -> np.ndarray:
         """One period of the sequence as a fresh int64 array; the stream repeats it."""
         return self._period.copy()
 
     def __repr__(self) -> str:
-        return f"UpdateSequence({self.kind}, n={self.n})"
+        return f"UpdateSequence(n={self.n}, period={self._period.size})"

@@ -1,4 +1,4 @@
-"""Textbook iteration schemes, used as independent references for the engine.
+"""Textbook iteration schemes: the reference that ``verify`` runs against the engine.
 
 Four schemes over a square operator P:
 
@@ -7,8 +7,8 @@ Four schemes over a square operator P:
 * Jac  -- Jacobi,               x <- P x + b,      from 0
 * GSa  -- Gauss-Seidel (affine) x[i] <- (P x)[i] + b[i], from 0
 
-The step functions are stateless and safe to call concurrently on distinct
-vectors.
+The vector-level steps (PI, Jac) return a new vector. The Gauss-Seidel steps
+(GSl, GSa) read P's rows through a :class:`RowView` and update x in place.
 """
 
 from __future__ import annotations
@@ -38,22 +38,29 @@ class RowView:
     Built once per scheme run so each Gauss-Seidel update costs O(nnz(row)).
     """
 
-    __slots__ = ("n", "indptr", "cols", "vals")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, m: SparseColumnMatrix):
         self.n = m.n
         order = np.argsort(m.rows, kind="stable")
-        self.cols = m.cols[order]
-        self.vals = m.vals[order]
-        counts = np.bincount(m.rows, minlength=m.n)
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        bounds = np.cumsum(np.bincount(m.rows, minlength=m.n))[:-1]
+        # (cols, vals) of each row, in stored order
+        self._rows = list(zip(np.split(m.cols[order], bounds), np.split(m.vals[order], bounds)))
 
     def row_dot(self, i: int, x: np.ndarray) -> float:
         """(m @ x)[i]."""
         if not 0 <= i < self.n:
             raise ValueError(f"row {i} out of range for dimension {self.n}")
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return float(self.vals[lo:hi] @ x[self.cols[lo:hi]])
+        cols, vals = self._rows[i]
+        return float(vals @ x[cols])
+
+
+def _check_sequence(kind: str, seq: UpdateSequence | None) -> None:
+    """Gauss-Seidel (GSl, GSa) needs an update sequence; PI and Jac take none."""
+    if kind in ("GSl", "GSa") and seq is None:
+        raise ValueError(f"{kind} needs an update sequence")
+    if kind not in ("GSl", "GSa") and seq is not None:
+        raise ValueError(f"{kind} updates every coordinate at once; takes no sequence")
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,7 @@ class SchemeSpec:
                 raise ValueError(f"{self.kind} needs an affine term b")
             if self.x0 is not None and np.any(self.x0 != 0.0):
                 raise ValueError(f"{self.kind} starts from zero; nonzero x0 rejected")
-        if self.coordinate_level and self.seq is None:
-            raise ValueError(f"{self.kind} needs an update sequence")
-        if not self.coordinate_level and self.seq is not None:
-            raise ValueError(f"{self.kind} updates every coordinate at once; takes no sequence")
+        _check_sequence(self.kind, self.seq)
         if self.seq is not None and self.seq.n != n:
             raise ValueError(f"sequence dimension {self.seq.n} != matrix dimension {n}")
 
@@ -111,14 +115,11 @@ def step_pi(x, p: SparseColumnMatrix) -> np.ndarray:
     return p.matvec(x)
 
 
-def step_gsl(x, p: SparseColumnMatrix, i: int, row_view: RowView | None = None) -> np.ndarray:
-    """Copy of x with x[i] replaced by (P x)[i]."""
-    x = as_vector(x, p.n)
-    if not 0 <= i < p.n:
-        raise ValueError(f"coordinate {i} out of range for dimension {p.n}")
-    out = x.copy()
-    out[i] = row_view.row_dot(i, x) if row_view is not None else p.matvec(x)[i]
-    return out
+def step_gsl(x, rows: RowView, i: int) -> np.ndarray:
+    """x[i] <- (P x)[i] in place, P the matrix of ``rows``; returns x."""
+    x = as_vector(x, rows.n)
+    x[i] = rows.row_dot(i, x)
+    return x
 
 
 def step_jacobi(x, p: SparseColumnMatrix, b) -> np.ndarray:
@@ -126,13 +127,8 @@ def step_jacobi(x, p: SparseColumnMatrix, b) -> np.ndarray:
     return p.matvec(x) + as_vector(b, p.n)
 
 
-def step_gsa(x, p: SparseColumnMatrix, b, i: int, row_view: RowView | None = None) -> np.ndarray:
-    """Copy of x with x[i] replaced by (P x)[i] + b[i]."""
-    x = as_vector(x, p.n)
-    b = as_vector(b, p.n)
-    if not 0 <= i < p.n:
-        raise ValueError(f"coordinate {i} out of range for dimension {p.n}")
-    out = x.copy()
-    base = row_view.row_dot(i, x) if row_view is not None else p.matvec(x)[i]
-    out[i] = base + b[i]
-    return out
+def step_gsa(x, rows: RowView, b, i: int) -> np.ndarray:
+    """x[i] <- (P x)[i] + b[i] in place, P the matrix of ``rows``; returns x."""
+    x = as_vector(x, rows.n)
+    x[i] = rows.row_dot(i, x) + as_vector(b, rows.n)[i]
+    return x

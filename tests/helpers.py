@@ -176,14 +176,14 @@ def run_scheme(
     x = spec.initial_vector()
     deltas: list[float] = []
     iterates: list[np.ndarray] | None = [x.copy()] if keep_iterates else None
-    row_view = RowView(p) if spec.coordinate_level else None
+    rows = RowView(p) if spec.coordinate_level else None
     indices = iter_indices(spec.seq) if spec.coordinate_level else None
 
     updates = 0
     converged = False
     per_iteration = n if spec.coordinate_level else 1
     while updates + per_iteration <= stop.max_steps:
-        x_prev = x
+        x_prev = x.copy()  # the Gauss-Seidel steps update x in place
         if spec.kind == "PI":
             x = step_pi(x, p)
         elif spec.kind == "Jac":
@@ -191,10 +191,7 @@ def run_scheme(
         else:
             for _ in range(n):
                 i = next(indices)
-                if spec.kind == "GSl":
-                    x = step_gsl(x, p, i, row_view)
-                else:
-                    x = step_gsa(x, p, spec.b, i, row_view)
+                x = step_gsl(x, rows, i) if spec.kind == "GSl" else step_gsa(x, rows, spec.b, i)
                 if iterates is not None:
                     iterates.append(x.copy())
         updates += per_iteration
@@ -212,8 +209,8 @@ def verify_reference(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     """Lockstep reference for ``verify_equivalence``: the per-step engine against the scheme.
 
     One ``diffuse_coordinate``/``diffuse_vector`` call and one ``step_*`` call per
-    step, each discrepancy a fresh ``np.abs(...).sum()``, folded with ``np.maximum``
-    so that a NaN is kept.
+    step (the Gauss-Seidel steps update x in place), each discrepancy a fresh
+    ``np.abs(...).sum()``, folded with ``np.maximum`` so that a NaN is kept.
     """
     equiv = to_diffusion(spec)
     p = spec.matrix
@@ -228,14 +225,13 @@ def verify_reference(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
         max_fluid = float(np.abs(state.f - (x_next - x)).sum())
         max_hist = float(np.abs(state.h - (x - spec.x0)).sum())
 
-    row_view = RowView(p) if spec.coordinate_level else None
+    rows = RowView(p) if spec.coordinate_level else None
     indices = iter_indices(spec.seq) if spec.coordinate_level else None
     for _ in range(n_steps):
         if spec.coordinate_level:
             i = next(indices)
             diffuse_coordinate(state, p, i)
-            x = (step_gsl(x, p, i, row_view) if spec.kind == "GSl"
-                 else step_gsa(x, p, spec.b, i, row_view))
+            x = step_gsl(x, rows, i) if spec.kind == "GSl" else step_gsa(x, rows, spec.b, i)
         else:
             diffuse_vector(state, p)
             if spec.kind == "PI":

@@ -58,7 +58,7 @@ def _report(num: int, title: str, ok: bool, detail: str = "") -> bool:
 def _case_trace(case_name: str, scheme: str, iterations: int = 60):
     """Sweep-level residual rows for one scheme on one built-in case."""
     case = load_case(case_name)
-    seq = UpdateSequence.round_robin(case.q.n)
+    seq = UpdateSequence.round_robin(case.q.n) if scheme in ("GSl", "GSa") else None
     equiv = diffusion_form(case.q, case.d, scheme, seq=seq)
     stop = StoppingRule(tol=None, max_steps=iterations * (case.q.n if equiv.mode == "clu" else 1))
     run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop)
@@ -254,7 +254,7 @@ def test_criterion_7_conservation_and_accounting_everywhere():
         case = load_case(name)
         n = case.q.n
         for scheme in ("PI", "GSl", "Jac", "GSa"):
-            seq = UpdateSequence.round_robin(n)
+            seq = UpdateSequence.round_robin(n) if scheme in ("GSl", "GSa") else None
             equiv = diffusion_form(case.q, case.d, scheme, seq=seq)
             steps = 60 * n if equiv.mode == "clu" else 60
             cons, acct = _checked_run(equiv.matrix, equiv.f0, equiv.mode, equiv.seq, steps)
@@ -311,7 +311,7 @@ def test_criterion_8_oracle_agreement():
 
         # production path: every scheme through its diffusion form
         for scheme in ("PI", "GSl", "Jac", "GSa"):
-            seq = UpdateSequence.round_robin(n)
+            seq = UpdateSequence.round_robin(n) if scheme in ("GSl", "GSa") else None
             equiv = diffusion_form(case.q, case.d, scheme, seq=seq)
             run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop)
             assert run.converged

@@ -54,3 +54,12 @@ def test_benchmark_cases_repetition_runs(tmp_path):
     runs = json.loads((tmp_path / "result.json").read_text())["runs"]
     assert {run["scheme"] for run in runs} == {"PI", "GSl", "Jac", "GSa"}
     assert all(run["clu"] == (run["scheme"] in ("GSl", "GSa")) for run in runs)
+
+
+def test_traced_verify_counts_every_gauss_seidel_reference_step(tmp_path):
+    # schemes.step.calls tallies verify's textbook steps: 4 cases x 2 schemes x 2 sweeps x 5
+    code = ("import fluidsolve.cli as cli; from pathlib import Path; out = Path(sys.argv[1]); "
+            "cfg = cli.RunConfig(schemes=('GSl', 'GSa'), iterations=2, output_dir=out); "
+            "cli.run_verification(cfg, out / 'verify.csv'); "
+            "print(rec.totals().get('schemes.step', {}).get('calls', 0))")
+    assert int(_traced(code, str(tmp_path)).stdout) == 80

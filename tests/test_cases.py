@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluidsolve import BUILTIN_CASES, load_case
+from fluidsolve import BUILTIN_CASES, cases, load_case
 
 
 def test_builtin_names():
@@ -42,7 +42,7 @@ def test_columns_sum_to_exactly_one(name):
 def test_damping_and_description(name):
     case = load_case(name)
     assert case.d == 0.85
-    assert case.description
+    assert f"* {name} -- " in cases.__doc__  # the module docstring describes every case
 
 
 def test_unknown_case():

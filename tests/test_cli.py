@@ -76,10 +76,17 @@ class TestDiffusionForm:
         np.testing.assert_allclose(eq.f0, 0.15 * uniform_vector(5), rtol=1e-15)
         np.testing.assert_array_equal(eq.offset, np.zeros(5))
 
-    def test_jacobi_ignores_the_sequence(self):
+    @pytest.mark.parametrize("scheme", ["PI", "Jac"])
+    def test_vector_level_schemes_reject_a_sequence(self, scheme):
         case = load_case("case1")
-        eq = diffusion_form(case.q, case.d, "Jac", seq=make_sequence("roundrobin", 5))
-        assert eq.mode == "vlu" and eq.seq is None
+        with pytest.raises(ValueError, match="takes no sequence"):
+            diffusion_form(case.q, case.d, scheme, seq=make_sequence("roundrobin", 5))
+
+    @pytest.mark.parametrize("scheme", ["GSl", "GSa"])
+    def test_gauss_seidel_needs_a_sequence(self, scheme):
+        case = load_case("case1")
+        with pytest.raises(ValueError, match=f"{scheme} needs an update sequence"):
+            diffusion_form(case.q, case.d, scheme)
 
     def test_gsa_is_coordinate_level(self):
         case = load_case("case1")
@@ -91,7 +98,7 @@ class TestDiffusionForm:
     def test_linear_schemes_decompose(self):
         case = load_case("case1")
         seq = make_sequence("roundrobin", 5)
-        pi = diffusion_form(case.q, case.d, "PI", seq=seq)
+        pi = diffusion_form(case.q, case.d, "PI")
         gsl = diffusion_form(case.q, case.d, "GSl", seq=seq)
         assert pi.mode == "vlu" and gsl.mode == "clu"
         assert pi.seq is None and gsl.seq is seq

@@ -4,8 +4,8 @@ Runs ``case case1..4``, ``verify``, ``cancel-report`` for every built-in
 case and scheme, and ``custom`` on the benchmark's seeded n=200 graph (with
 the default trace window and with ``--sample-every 7``) through
 :func:`fluidsolve.cli.main`, then compares the SHA-256 of each written file
-with ``tests/golden_outputs.json``. ``verify`` is also run as without a C
-compiler, and its report must have the same bytes.
+with ``tests/golden_outputs.json``. All of it runs twice, through the
+compiled kernels and as without a C compiler, and must give the same bytes.
 
 A change that is meant to alter an output regenerates the JSON with
 
@@ -23,7 +23,6 @@ import json
 import tempfile
 from pathlib import Path
 
-from fluidsolve import _clu
 from fluidsolve.cases import BUILTIN_CASES
 from fluidsolve.cli import EXIT_OK, main
 from fluidsolve.schemes import SCHEME_KINDS
@@ -62,21 +61,12 @@ def write_outputs(root: Path) -> dict[str, str]:
     }
 
 
-def test_outputs_match_golden(tmp_path):
+def test_outputs_match_golden(tmp_path, clu_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = write_outputs(tmp_path)
     assert sorted(got) == sorted(want), "set of written files changed"
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"output bytes differ from {GOLDEN.name}: {', '.join(changed)}"
-
-
-def test_verify_without_compiler_matches_golden(tmp_path, monkeypatch):
-    # the no-compiler path: Python CLU steps and diffuse_vector for the twin
-    monkeypatch.setattr(_clu, "load", lambda: _clu.FALLBACK)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))["verify/verify.csv"]
-    assert hashlib.sha256((tmp_path / "verify.csv").read_bytes()).hexdigest() == want
 
 
 if __name__ == "__main__":

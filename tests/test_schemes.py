@@ -51,29 +51,31 @@ class TestSteps:
         np.testing.assert_array_equal(step_pi(v, identity(3)), v)
 
     def test_gsl_single_coordinate(self, p_full):
-        x = step_gsl(uniform_vector(5), p_full, 0)
+        x = step_gsl(uniform_vector(5), RowView(p_full), 0)
         np.testing.assert_allclose(x, [0.115, 0.2, 0.2, 0.2, 0.2], rtol=0, atol=1e-15)
 
     def test_gsl_identity_noop(self):
         v = np.array([1.0, -2.0, 0.5])
-        m = identity(3)
+        view = RowView(identity(3))
         for i in range(3):
-            np.testing.assert_array_equal(step_gsl(v, m, i), v)
+            np.testing.assert_array_equal(step_gsl(v.copy(), view, i), v)
 
     def test_gsl_fixed_point_unchanged(self, case1, p_full):
         x_star = dense_solve_oracle(case1.q.scaled(case1.d), 0.15 * uniform_vector(5))
+        view = RowView(p_full)
         for i in range(5):
-            np.testing.assert_allclose(step_gsl(x_star, p_full, i), x_star, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(step_gsl(x_star.copy(), view, i), x_star, rtol=0, atol=1e-12)
 
     def test_gsl_matches_matrix_form_rewrite(self, p_full):
         # coordinate assignment == x + J_i (P - I) x
         rng = np.random.default_rng(3)
+        view = RowView(p_full)
         for _ in range(5):
             x = random_signed_vector(rng, 5)
             i = int(rng.integers(0, 5))
             rewrite = x.copy()
             rewrite[i] += (p_full.matvec(x) - x)[i]
-            np.testing.assert_allclose(step_gsl(x, p_full, i), rewrite, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(step_gsl(x, view, i), rewrite, rtol=0, atol=1e-14)
 
     def test_jacobi_first_step_is_b(self, affine_case1):
         m, b = affine_case1
@@ -91,23 +93,26 @@ class TestSteps:
 
     def test_gsa_zero_start(self, affine_case1):
         m, b = affine_case1
-        x = step_gsa(np.zeros(5), m, b, 0)
+        x = step_gsa(np.zeros(5), RowView(m), b, 0)
         assert x[0] == pytest.approx(0.03, abs=1e-15)
         assert np.all(x[1:] == 0.0)
 
     def test_gsa_fixed_point_unchanged(self, affine_case1):
         m, b = affine_case1
         x_star = dense_solve_oracle(m, b)
+        view = RowView(m)
         for i in range(5):
-            np.testing.assert_allclose(step_gsa(x_star, m, b, i), x_star, rtol=0, atol=1e-12)
+            x = step_gsa(x_star.copy(), view, b, i)
+            np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-12)
 
     def test_gsa_sweep_matches_diffusion_history(self, affine_case1):
         # one full sweep from zero equals H after 5 coordinate-level updates
         m, b = affine_case1
         x = np.zeros(5)
+        view = RowView(m)
         state = DiffusionState.start(b)
         for i in range(5):
-            x = step_gsa(x, m, b, i)
+            x = step_gsa(x, view, b, i)
             diffuse_coordinate(state, m, i)
         np.testing.assert_allclose(x, state.h, rtol=0, atol=1e-15)
 
@@ -119,18 +124,29 @@ class TestSteps:
         for i in range(7):
             assert view.row_dot(i, x) == pytest.approx(float(dense[i] @ x), abs=1e-14)
 
-    def test_steps_with_and_without_row_view_agree(self, p_full):
+    def test_gauss_seidel_steps_update_x_in_place(self):
         rng = np.random.default_rng(8)
+        m, dense = random_substochastic(rng, 7)
+        view = RowView(m)
+        b = random_signed_vector(rng, 7)
+        for i in range(7):
+            for step, extra in ((lambda x: step_gsl(x, view, i), 0.0),
+                                (lambda x: step_gsa(x, view, b, i), b[i])):
+                x = random_signed_vector(rng, 7)
+                before = x.copy()
+                assert step(x) is x
+                assert x[i] == pytest.approx(float(dense[i] @ before) + extra, abs=1e-14)
+                np.testing.assert_array_equal(np.delete(x, i), np.delete(before, i))
+
+    def test_gauss_seidel_steps_reject_bad_input(self, p_full):
         view = RowView(p_full)
-        x = random_signed_vector(rng, 5)
-        b = random_signed_vector(rng, 5)
-        for i in range(5):
-            np.testing.assert_allclose(
-                step_gsl(x, p_full, i), step_gsl(x, p_full, i, view), rtol=0, atol=1e-14
-            )
-            np.testing.assert_allclose(
-                step_gsa(x, p_full, b, i), step_gsa(x, p_full, b, i, view), rtol=0, atol=1e-14
-            )
+        with pytest.raises(ValueError, match="length 5"):
+            step_gsl(np.zeros(4), view, 0)
+        with pytest.raises(ValueError, match="length 5"):
+            step_gsa(np.zeros(5), view, np.zeros(6), 0)
+        for i in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                step_gsa(np.zeros(5), view, np.zeros(5), i)
 
 
 class TestSchemeSpec:

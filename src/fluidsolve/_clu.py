@@ -21,8 +21,8 @@ A missing compiler, a failed build or a cache directory that cannot be
 written selects :data:`FALLBACK` instead. Its ``clu`` is :func:`bind_py`,
 which binds :func:`steps_py`, the same step function in Python: bitwise the
 same results two orders of magnitude more slowly. Its ``vlu`` is None: the
-driver then calls ``diffusion.diffuse_vector``, the reference engine that the
-kernel matches bitwise, once per step.
+vector-level step function is then ``diffusion._vector_step``, the arithmetic
+of the reference engine that the kernel matches bitwise, one step per call.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from .diffusion import DiffusionRun, StoppingRule, run_diffusion
 from .equivalence import DiffusionEquivalent, diffusion_form, pagerank_matrix, verify_equivalence
 from .io import ParseError, read_matrix_market, read_vector, write_csv, write_trace_csv
 from .linalg import UpdateSequence, uniform_vector
-from .schemes import SCHEME_KINDS, SchemeSpec
+from .schemes import COORDINATE, LINEAR, SCHEME_KINDS, SchemeSpec
 
 __all__ = [
     "RunConfig",
@@ -136,15 +136,12 @@ class ExperimentResult:
     plot_path: Path
 
 
-def _trace_scheme(case: CaseDefinition, scheme: str, cfg: RunConfig,
+def _trace_scheme(case: CaseDefinition, scheme: str, seq_spec: str, stop: StoppingRule, every: int,
                   b: np.ndarray | None = None, x0: np.ndarray | None = None) -> SchemeTrace:
-    n = case.q.n
-    seq = make_sequence(cfg.seq_spec, n) if scheme in ("GSl", "GSa") else None
+    """Run ``scheme``'s diffusion form on ``case``, keeping a trace row per ``every`` steps."""
+    seq = make_sequence(seq_spec, case.q.n) if scheme in COORDINATE else None
     equiv = diffusion_form(case.q, case.d, scheme, seq=seq, b=b, x0=x0)
-    clu = equiv.seq is not None
-    stop = StoppingRule(tol=cfg.tol, max_steps=cfg.iterations * (n if clu else 1))
-    run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop,
-                        every=(cfg.sample_every or n) if clu else 1)
+    run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop, every=every)
     return SchemeTrace(scheme=scheme, equivalent=equiv, run=run)
 
 
@@ -176,9 +173,13 @@ def run_experiment(case: CaseDefinition, cfg: RunConfig,
                    b: np.ndarray | None = None, x0: np.ndarray | None = None) -> ExperimentResult:
     """Trace the selected schemes on one case; write CSVs and a plot script."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    n = case.q.n
     traces = {}
     for scheme in cfg.schemes:
-        trace = _trace_scheme(case, scheme, cfg, b=b, x0=x0)
+        clu = scheme in COORDINATE  # budget and window count sweeps of n updates
+        stop = StoppingRule(tol=cfg.tol, max_steps=cfg.iterations * (n if clu else 1))
+        every = (cfg.sample_every or n) if clu else 1
+        trace = _trace_scheme(case, scheme, cfg.seq_spec, stop, every, b=b, x0=x0)
         trace.csv_path = cfg.output_dir / f"{case.name}_{scheme}.csv"
         write_trace_csv(trace.csv_path, trace.run.trace)
         traces[scheme] = trace
@@ -220,8 +221,8 @@ def run_verification(cfg: RunConfig, csv_path: Path):
         b = (1.0 - case.d) * uniform_vector(n)
         e = uniform_vector(n)
         for kind in cfg.schemes:
-            seq = make_sequence(cfg.seq_spec, n) if kind in ("GSl", "GSa") else None
-            if kind in ("PI", "GSl"):
+            seq = make_sequence(cfg.seq_spec, n) if kind in COORDINATE else None
+            if kind in LINEAR:
                 spec = SchemeSpec(kind, p_full, x0=e, seq=seq)
             else:
                 spec = SchemeSpec(kind, q_d, b=b, seq=seq)
@@ -264,7 +265,7 @@ class CancellationSummary:
         application (f0 = P x0 - x0), so classical update k lines up with
         engine step k - 1; for Jac and GSa the two counts coincide.
         """
-        step = k - (1 if self.scheme in ("PI", "GSl") else 0)
+        step = k - (1 if self.scheme in LINEAR else 0)
         return next((frac for s, _, _, frac in self.per_step if s == step), math.nan)
 
 
@@ -273,10 +274,7 @@ def cancellation_report(case: CaseDefinition, scheme: str, n_steps: int,
     """Run ``scheme``'s diffusion twin for exactly ``n_steps`` engine steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    seq = make_sequence(seq_spec, case.q.n) if scheme in ("GSl", "GSa") else None
-    equiv = diffusion_form(case.q, case.d, scheme, seq=seq)
-    run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq,
-                        stop=StoppingRule(tol=None, max_steps=n_steps))
+    run = _trace_scheme(case, scheme, seq_spec, StoppingRule(tol=None, max_steps=n_steps), 1).run
     per_step = []
     for rec in run.trace[1:]:
         lost = rec.cancelled + rec.contracted

@@ -37,10 +37,10 @@ Each step also splits the L1 mass that left F into two causes:
 engine, the reference for everything else. :func:`run_diffusion` drives
 both kinds of run through compiled step functions (``_clu.c``). The
 vector-level one reproduces :func:`diffuse_vector` bitwise in F, H and
-every row, and without a compiler the driver calls :func:`diffuse_vector`
-itself. The coordinate-level one reproduces :func:`diffuse_coordinate`
-bitwise in F and H, has a Python twin for use without a compiler, and
-keeps one trace row per window of steps.
+every row; without a compiler it is the arithmetic of :func:`diffuse_vector`
+itself, one step per call. The coordinate-level one reproduces
+:func:`diffuse_coordinate` bitwise in F and H, has a Python twin for use
+without a compiler, and keeps one trace row per window of steps.
 
 The state and every row the engine records hold the exact l1(F), that is
 ``np.abs(F).sum()`` after the step. Only the coordinate-level driver keeps
@@ -177,8 +177,14 @@ def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionSta
 
     state.step += 1
     state.delivered += m.nnz
-    before_l1 = state.residual_l1()
-    state.h += f
+    state.record(*_vector_step(m, f, state.h))
+    return state
+
+
+def _vector_step(m: SparseColumnMatrix, f: np.ndarray, h: np.ndarray):
+    """One vector-level update of F and H in place; returns (residual, cancelled, contracted)."""
+    before_l1 = float(np.abs(f).sum())
+    h += f
     # Scale every stored entry by the fluid at its column, then fold the
     # incoming contributions per target row.
     per_entry = m.vals * f[m.cols]
@@ -192,9 +198,8 @@ def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionSta
     # contributions share a sign and never negative (both folds perform the
     # same additions, and rounding is monotone).
     cancelled = float((abs_in - abs_new).sum())
-    state.f = new_f
-    state.record(new_l1, cancelled, _clamp(before_l1 - arrived))
-    return state
+    f[:] = new_f
+    return new_l1, cancelled, _clamp(before_l1 - arrived)
 
 
 @dataclass(frozen=True)
@@ -284,37 +289,35 @@ def _bind(m: SparseColumnMatrix, state: DiffusionState, order: np.ndarray | None
     """A step function of :mod:`._clu` bound to ``m`` and to ``state``'s F and H.
 
     Coordinate-level along ``order``, updating ``acc`` and ``delivered`` in
-    place too; else vector-level, or None when there is no compiler.
+    place too; else vector-level. Without a compiler the vector-level one is
+    :func:`_vector_step`, one step per call.
     """
     kernels = _clu.load()
     if order is not None:
         return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, delivered)
     if kernels.vlu is None:
-        return None
+        return lambda k, stop_at: [_vector_step(m, state.f, state.h)]
     return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h)
 
 
 def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:
     """Vector-level steps; mutates ``state``, returns the status.
 
-    The compiled step function from :mod:`._clu` runs them in stretches,
-    updating F and H in place and returning each step's row; it performs the
-    operations of :func:`diffuse_vector` in numpy's order, so every row, F
-    and H are bitwise what that many calls give, and recording the rows in
-    step order gives the same totals. Without a compiler the steps are
-    :func:`diffuse_vector` itself.
+    The step function of :func:`_bind` updates F and H in place and returns
+    each step's row: the compiled one runs stretches of steps, performing the
+    operations of :func:`diffuse_vector` in numpy's order, and without a
+    compiler :func:`_vector_step` runs one step per call. Either way every
+    row, F and H are bitwise what that many :func:`diffuse_vector` calls
+    give, and recording the rows in step order gives the same totals.
     """
     steps = _bind(m, state)
     status = "budget"
     stop_at = -1.0 if stop.tol is None else stop.tol
     while status == "budget" and state.step < stop.max_steps:
-        if steps is None:
-            diffuse_vector(state, m)
-        else:
-            for row in steps(stop.max_steps - state.step, stop_at):
-                state.step += 1
-                state.delivered += m.nnz
-                state.record(*row)
+        for row in steps(stop.max_steps - state.step, stop_at):
+            state.step += 1
+            state.delivered += m.nnz
+            state.record(*row)
         status = _status(state.trace[-1].residual_l1, stop.tol)
     return status
 

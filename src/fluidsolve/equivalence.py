@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionState, _bind, diffuse_vector
+from .diffusion import DiffusionState, _bind
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector, l1_norm, sigma, uniform_vector
-from .schemes import RowView, SchemeSpec, _check_sequence, step_gsa, step_gsl, step_jacobi, step_pi
+from .schemes import (LINEAR, RowView, SchemeSpec, _check_sequence, step_gsa, step_gsl,
+                      step_jacobi, step_pi)
 
 __all__ = [
     "DiffusionEquivalent",
@@ -97,13 +98,23 @@ class DiffusionEquivalent:
 def to_diffusion(spec: SchemeSpec) -> DiffusionEquivalent:
     """Diffusion twin of a classical scheme (same matrix, same granularity)."""
     p = spec.matrix
-    if spec.kind in ("PI", "GSl"):
-        f0 = p.matvec(spec.x0) - spec.x0
-        offset = spec.x0.copy()
-    else:
-        f0 = spec.b.copy()
-        offset = np.zeros(p.n)
-    return DiffusionEquivalent(p, f0, spec.seq, offset)
+    f0 = p.matvec(spec.x0) - spec.x0 if spec.b is None else spec.b.copy()
+    return DiffusionEquivalent(p, f0, spec.seq, spec.initial_vector())
+
+
+def _check_damped(q: SparseColumnMatrix, d: float) -> None:
+    """Reject a damping factor outside (0, 1); warn if a column of Q does not sum to 1."""
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"damping factor must lie in (0, 1), got {d}")
+    col_norms = q.column_l1_norms()
+    off = np.abs(col_norms - 1.0)
+    if np.any(off > 1e-12):
+        worst = int(np.argmax(off))
+        warnings.warn(
+            f"matrix is not column-stochastic: column {worst} has L1 norm "
+            f"{float(col_norms[worst])!r}",
+            stacklevel=_outside_stacklevel(),
+        )
 
 
 def pagerank_decompose(q: SparseColumnMatrix, d: float, x0,
@@ -116,20 +127,10 @@ def pagerank_decompose(q: SparseColumnMatrix, d: float, x0,
     With an update sequence ``seq`` it is the coordinate-level run of the
     same form (see :func:`diffusion_form` for what that iteration is).
     """
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"damping factor must lie in (0, 1), got {d}")
+    _check_damped(q, d)
     x0 = as_vector(x0, q.n)
     if abs(sigma(x0) - 1.0) > 1e-12:
         raise ValueError(f"decomposition needs sigma(x0) = 1, got {sigma(x0)!r}")
-    col_norms = q.column_l1_norms()
-    off = np.abs(col_norms - 1.0)
-    if np.any(off > 1e-12):
-        worst = int(np.argmax(off))
-        warnings.warn(
-            f"matrix is not column-stochastic: column {worst} has L1 norm "
-            f"{float(col_norms[worst])!r}",
-            stacklevel=_outside_stacklevel(),
-        )
     e = uniform_vector(q.n)
     f0 = d * q.matvec(x0) + (1.0 - d) * e - x0
     return DiffusionEquivalent(q.scaled(d), f0, seq, x0.copy())
@@ -163,13 +164,11 @@ def diffusion_form(
     L1 gap of 0.65). The GSl traces of ``case``, ``custom`` and
     ``cancel-report`` are this affine form.
     """
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"damping factor must lie in (0, 1), got {d}")
     n = q.n
-    if scheme in ("PI", "GSl"):
+    if scheme in LINEAR:
         _check_sequence(scheme, seq)  # SchemeSpec checks the other schemes
-        # one call site, so the default filter shows a column-sum warning once per run
         return pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n), seq=seq)
+    _check_damped(q, d)
     b = b if b is not None else (1.0 - d) * uniform_vector(n)
     return to_diffusion(SchemeSpec(scheme, q.scaled(d), b=b, seq=seq))
 
@@ -234,7 +233,7 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     equiv = to_diffusion(spec)
     p, n, kind, b = spec.matrix, spec.matrix.n, spec.kind, spec.b
     state = DiffusionState.start(equiv.f0)
-    h, x = state.h, spec.initial_vector()  # every step updates H in place
+    f, h, x = state.f, state.h, spec.initial_vector()  # every step updates F and H in place
     order = spec.seq.period() if spec.coordinate_level else None
     twin = _bind(p, state, order, np.zeros(5), np.zeros(1, dtype=np.int64))
     if order is not None:
@@ -256,15 +255,12 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
                 i = indices[pos]
                 x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
             elif t:
-                if twin is None:  # no compiler: the reference step, as in run_diffusion
-                    diffuse_vector(state, p)
-                else:
-                    twin(1, -1.0)
+                twin(1, -1.0)
                 x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
             xs[j] = x
             hs[j] = h
             if track_pi:
-                fs[j] = state.f
+                fs[j] = f
         x_t, h_t = xs[:rows], hs[:rows]
         disc.append(np.abs(x_t - (h_t + equiv.offset)).sum(axis=1).max())
         if track_pi:

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 SCHEME_KINDS = ("PI", "GSl", "Jac", "GSa")
+LINEAR = ("PI", "GSl")  # solve x = P x from x0; the others solve x = P x + b from 0
+COORDINATE = ("GSl", "GSa")  # update one coordinate at a time, along a sequence
 
 
 class RowView:
@@ -57,9 +59,9 @@ class RowView:
 
 def _check_sequence(kind: str, seq: UpdateSequence | None) -> None:
     """Gauss-Seidel (GSl, GSa) needs an update sequence; PI and Jac take none."""
-    if kind in ("GSl", "GSa") and seq is None:
+    if kind in COORDINATE and seq is None:
         raise ValueError(f"{kind} needs an update sequence")
-    if kind not in ("GSl", "GSa") and seq is not None:
+    if kind not in COORDINATE and seq is not None:
         raise ValueError(f"{kind} updates every coordinate at once; takes no sequence")
 
 
@@ -86,7 +88,7 @@ class SchemeSpec:
             object.__setattr__(self, "b", as_vector(self.b, n))
         if self.x0 is not None:
             object.__setattr__(self, "x0", as_vector(self.x0, n))
-        if self.kind in ("PI", "GSl"):
+        if self.kind in LINEAR:
             if self.x0 is None:
                 raise ValueError(f"{self.kind} needs a starting vector x0")
             if self.b is not None:
@@ -102,12 +104,10 @@ class SchemeSpec:
 
     @property
     def coordinate_level(self) -> bool:
-        return self.kind in ("GSl", "GSa")
+        return self.seq is not None
 
     def initial_vector(self) -> np.ndarray:
-        if self.kind in ("PI", "GSl"):
-            return self.x0.copy()
-        return np.zeros(self.matrix.n)
+        return self.x0.copy() if self.b is None else np.zeros(self.matrix.n)
 
 
 def step_pi(x, p: SparseColumnMatrix) -> np.ndarray:

@@ -10,7 +10,7 @@ def clu_path(request, monkeypatch):
     """Runs through the compiled kernel or as without a compiler (None: unchanged).
 
     Without a compiler, coordinate-level runs use the kernel's Python twin and
-    vector-level runs call diffuse_vector once per step.
+    vector-level runs take one step per call of diffuse_vector's arithmetic.
     """
     if request.param == "fallback":
         monkeypatch.setattr(_clu, "load", lambda: _clu.FALLBACK)

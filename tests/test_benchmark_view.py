@@ -63,3 +63,13 @@ def test_traced_verify_counts_every_gauss_seidel_reference_step(tmp_path):
             "cli.run_verification(cfg, out / 'verify.csv'); "
             "print(rec.totals().get('schemes.step', {}).get('calls', 0))")
     assert int(_traced(code, str(tmp_path)).stdout) == 80
+
+
+def test_traced_cancel_report_records_the_layers_of_a_run():
+    # cancel-report runs through the CLI's scheme-to-run path: the per-layer
+    # metrics of the cases workload read these spans
+    names = ("cli.diffusion_form", "equivalence.pagerank_decompose", "diffusion.run_diffusion")
+    code = ("import json, fluidsolve, fluidsolve.cli as cli; "
+            "cli.cancellation_report(fluidsolve.load_case('case4'), 'GSl', 20); "
+            f"print(json.dumps([rec.totals().get(k, {{}}).get('calls', 0) for k in {names!r}]))")
+    assert json.loads(_traced(code).stdout) == [1, 1, 1]

@@ -424,8 +424,8 @@ class TestWindowedTraceRows:
                 assert resid == pytest.approx(exact[7 * step], rel=1e-12, abs=1e-16)
 
 
-def _custom_on_substochastic(tmp_path) -> subprocess.CompletedProcess:
-    """``python -m fluidsolve custom`` on sub.mtx, whose column 0 sums to 0.5.
+def _custom_on_substochastic(tmp_path, schemes: str = "PI,GSl") -> subprocess.CompletedProcess:
+    """``python -m fluidsolve custom --schemes schemes`` on sub.mtx, whose column 0 sums to 0.5.
 
     The kernel cache starts empty, so the run builds the kernel (or fails to)
     between the PI and the GSl warning, as a first run does.
@@ -436,7 +436,7 @@ def _custom_on_substochastic(tmp_path) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = str(ROOT / "src")
     env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     proc = subprocess.run(
-        [sys.executable, "-m", "fluidsolve", "custom", "--matrix", str(path), "--schemes", "PI,GSl",
+        [sys.executable, "-m", "fluidsolve", "custom", "--matrix", str(path), "--schemes", schemes,
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env,
     )
@@ -453,6 +453,13 @@ def test_column_sum_warning_names_the_matrix_file(tmp_path):
     proc = _custom_on_substochastic(tmp_path)
     assert f"{tmp_path / 'sub.mtx'}:0: UserWarning: matrix is not column-stochastic" in proc.stderr
     assert "<frozen" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("schemes", ["Jac", "GSa", "PI,GSl,Jac,GSa"])
+def test_column_sum_warning_does_not_depend_on_the_schemes(tmp_path, schemes):
+    proc = _custom_on_substochastic(tmp_path, schemes)
+    assert proc.stderr.count("not column-stochastic") == 1, proc.stderr
+    assert f"{tmp_path / 'sub.mtx'}:0: UserWarning: matrix is not column-stochastic" in proc.stderr
 
 
 def test_module_entry_point_is_deterministic(tmp_path):

@@ -321,6 +321,18 @@ class TestVectorDriver:
                 assert run.status == end, (n, end)
                 assert self.bits(run.state, run.status) == self.bits(*want), (n, end)
 
+    def test_updates_f_in_place(self, clu_path):
+        rng = np.random.default_rng(12)
+        m = random_sparse(rng, 40, 0.9)
+        f0 = random_signed_vector(rng, 40)
+        want = np.bincount(m.rows, weights=m.vals * f0[m.cols], minlength=m.n)  # F after a step
+        engine, driven = DiffusionState.start(f0), DiffusionState.start(f0)
+        f_engine, f_driven = engine.f, driven.f
+        diffuse_vector(engine, m)
+        _run_vlu(driven, m, StoppingRule(tol=None, max_steps=1))
+        assert engine.f is f_engine and driven.f is f_driven
+        assert engine.f.tobytes() == driven.f.tobytes() == want.tobytes()
+
 
 class TestExactRecord:
     """Engine rows hold the exact l1(F); NaN stays visible in every column."""

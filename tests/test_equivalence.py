@@ -302,6 +302,20 @@ class TestVerifyMatchesReference:
         assert report.max_discrepancy <= 1e-10
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+    def test_vector_level_memory_is_bounded_by_the_block(self, clu_path):
+        # 20,000 Jacobi steps on case1: a trace row per step would add about 3 MB
+        case = load_case("case1")
+        spec = SchemeSpec("Jac", case.q.scaled(case.d), b=0.15 * uniform_vector(5))
+        verify_equivalence(spec, 1)  # build the kernel outside the measurement
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(spec, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_discrepancy <= 1e-10
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
 
 def test_fixed_point_agreement_across_schemes():
     # quick version; the full sweep lives in the acceptance suite

@@ -1,10 +1,9 @@
 /* Diffusion steps in C: the inner loops of fluidsolve.diffusion._run_clu and _run_vlu.
  *
  * fluidsolve_clu_steps performs the IEEE operations of
- * diffusion.diffuse_coordinate entry by entry, in column order, so F and H end
- * bitwise equal to the per-step engine. _clu.steps_py is the Python
- * transcription of this function with the same contract; the two agree
- * bitwise in every output.
+ * diffusion._coordinate_step entry by entry, in column order, so F, H and
+ * every loss are bitwise equal to the per-step engine. Without a compiler,
+ * diffusion._python_clu runs that Python step with this function's contract.
  *
  * fluidsolve_vlu_steps performs the operations of diffusion.diffuse_vector in
  * the order numpy performs them: np.bincount's scatter in stored order and

@@ -1,4 +1,4 @@
-"""Diffusion step functions: the compiled kernel ``_clu.c``, or what runs without it.
+"""Diffusion step functions compiled from ``_clu.c``.
 
 :func:`load` returns a :class:`Kernels` pair of ``bind`` functions, each of
 which ties a step function of ``_clu.c`` to one run's arrays:
@@ -18,11 +18,9 @@ The C source is compiled on first use with ``cc`` into
 ``$XDG_CACHE_HOME/fluidsolve`` (default ``~/.cache/fluidsolve``), under a
 name keyed by the source and the compiler flags, and loaded with ``ctypes``.
 A missing compiler, a failed build or a cache directory that cannot be
-written selects :data:`FALLBACK` instead. Its ``clu`` is :func:`bind_py`,
-which binds :func:`steps_py`, the same step function in Python: bitwise the
-same results two orders of magnitude more slowly. Its ``vlu`` is None: the
-vector-level step function is then ``diffusion._vector_step``, the arithmetic
-of the reference engine that the kernel matches bitwise, one step per call.
+written makes :func:`load` return None instead; ``diffusion._bind`` then
+picks the engine's own Python steps, which give bitwise the same results
+more slowly.
 """
 
 from __future__ import annotations
@@ -42,67 +40,6 @@ SOURCE = Path(__file__).with_name("_clu.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Most vector-level steps one call runs: the size of the buffer their rows go to.
 STRETCH = 256
-
-
-def steps_py(order, columns, f, h, acc, delivered, k, pos, stop_at):
-    """Python transcription of ``fluidsolve_clu_steps``: same updates, same stop, same bits.
-
-    ``columns[i]`` holds column i's (row, value) pairs and ``order`` the
-    update order as a list; ``f`` and ``h`` are memoryviews of the arrays,
-    which yield and take Python floats, so F and H are updated in place and
-    each operation is the kernel's IEEE double operation.
-    """
-    period = len(order)
-    resid, win_c, win_k, total_c, total_k = acc.tolist()
-    count = int(delivered[0])
-    taken = 0
-    while taken < k:
-        i = order[pos]
-        pos = 0 if pos + 1 == period else pos + 1
-        taken += 1
-        fl = f[i]
-        if fl != 0.0:
-            h[i] += fl
-            f[i] = 0.0
-            cancelled = sum_delta = 0.0
-            column = columns[i]
-            for r, v in column:
-                old = f[r]
-                delta = fl * v
-                new = old + delta
-                f[r] = new
-                abs_delta = abs(delta)
-                sum_delta += abs_delta
-                # rounding is monotone, so this overlap is never negative
-                cancelled += abs(old) + abs_delta - abs(new)
-            count += len(column)
-            abs_fl = abs(fl)
-            contracted = abs_fl - sum_delta
-            if contracted <= 0.0:  # not max(0.0, .): that maps NaN to 0
-                contracted = 0.0
-            resid = resid - abs_fl + sum_delta - cancelled
-            if resid < 0.0:  # a NaN stays NaN for the exact check to catch
-                resid = 0.0
-            total_c += cancelled
-            total_k += contracted
-            win_c += cancelled
-            win_k += contracted
-        if resid <= stop_at:
-            break
-    acc[:] = (resid, win_c, win_k, total_c, total_k)
-    delivered[0] = count
-    return taken
-
-
-def bind_py(order, indptr, rows, vals, f, h, acc, delivered):
-    """:func:`steps_py` bound to one run's arrays: the fallback of :func:`load`.
-
-    Per-column tuples, built once per run, halve the cost of a step against
-    slicing the arrays at every step.
-    """
-    bounds, rows, vals = indptr.tolist(), rows.tolist(), vals.tolist()
-    columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    return functools.partial(steps_py, order.tolist(), columns, f.data, h.data, acc, delivered)
 
 
 def _fit(layout, what: str) -> None:
@@ -198,18 +135,15 @@ def _compile(source: bytes, target: Path) -> None:
 
 
 class Kernels(NamedTuple):
-    """The ``bind`` functions of the module docstring; ``vlu`` is None without a compiler."""
+    """The ``bind`` functions of the module docstring."""
 
     clu: Callable
-    vlu: Callable | None
-
-
-FALLBACK = Kernels(bind_py, None)
+    vlu: Callable
 
 
 @functools.cache
-def load() -> Kernels:
-    """The compiled kernels, or :data:`FALLBACK` when they cannot be built."""
+def load() -> Kernels | None:
+    """The compiled kernels, or None when they cannot be built."""
     source = SOURCE.read_bytes()
     key = zlib.crc32(" ".join(CFLAGS).encode(), zlib.crc32(source))
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fluidsolve"
@@ -219,7 +153,7 @@ def load() -> Kernels:
             _compile(source, target)
         lib = ctypes.CDLL(str(target))
     except OSError:  # no cc, a failed build, a cache directory that cannot be written
-        return FALLBACK
+        return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     clu, vlu = lib.fluidsolve_clu_steps, lib.fluidsolve_vlu_steps
     clu.argtypes = [i64, i64, ctypes.c_double, ptr, i64, *[ptr] * 7]

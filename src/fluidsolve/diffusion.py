@@ -35,12 +35,11 @@ Each step also splits the L1 mass that left F into two causes:
 
 :func:`diffuse_coordinate` and :func:`diffuse_vector` are the per-step
 engine, the reference for everything else. :func:`run_diffusion` drives
-both kinds of run through compiled step functions (``_clu.c``). The
-vector-level one reproduces :func:`diffuse_vector` bitwise in F, H and
-every row; without a compiler it is the arithmetic of :func:`diffuse_vector`
-itself, one step per call. The coordinate-level one reproduces
-:func:`diffuse_coordinate` bitwise in F and H, has a Python twin for use
-without a compiler, and keeps one trace row per window of steps.
+both kinds of run through compiled step functions (``_clu.c``), which
+reproduce the engine bitwise in F, H and every loss; without a compiler it
+runs the engine's own steps, :func:`_coordinate_step` and
+:func:`_vector_step`. A coordinate-level run keeps one trace row per window
+of steps.
 
 The state and every row the engine records hold the exact l1(F), that is
 ``np.abs(F).sum()`` after the step. Only the coordinate-level driver keeps
@@ -145,28 +144,39 @@ def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> 
         raise ValueError(f"coordinate {i} out of range for dimension {m.n}")
 
     state.step += 1
-    fluid = float(f[i])
-    if fluid == 0.0:
-        state.record(state.residual_l1(), 0.0, 0.0)
-        return state
-
-    state.h[i] += fluid
-    f[i] = 0.0
     rows, vals = m.column(i)
-    state.delivered += rows.shape[0]
-    delta = fluid * vals
-    old = f[rows]  # post-removal values at the receiving coordinates
-    new = old + delta
-    abs_delta = np.abs(delta)
-    f[rows] = new
-
-    # Per-entry overlap |old| + |delta| - |old + delta|; exactly zero (not
-    # just tiny) wherever the two operands share a sign, and never negative,
-    # because rounding is monotone.
-    cancelled = float((np.abs(old) + abs_delta - np.abs(new)).sum())
-    contracted = abs(fluid) - float(abs_delta.sum())
-    state.record(state.residual_l1(), cancelled, _clamp(contracted))
+    losses = _coordinate_step(f.data, state.h.data, i, zip(rows.tolist(), vals.tolist()))
+    abs_fl, cancelled, sum_delta = losses or (0.0, 0.0, 0.0)
+    state.delivered += rows.shape[0] if losses else 0
+    state.record(state.residual_l1(), cancelled, _clamp(abs_fl - sum_delta))
     return state
+
+
+def _coordinate_step(f, h, i: int, column):
+    """One coordinate-level update at ``i`` on memoryviews ``f`` and ``h`` of F and H.
+
+    ``column`` yields column i's (row, value) pairs in stored order; each
+    entry is one IEEE operation per quantity, as in ``_clu.c``, and both sums
+    add the entries in that order. Returns None when F[i] is 0, else
+    (|F[i]|, cancelled, sum |delta|).
+    """
+    fl = f[i]
+    if fl == 0.0:
+        return None
+    h[i] += fl
+    f[i] = 0.0
+    cancelled = sum_delta = 0.0
+    for r, v in column:
+        old = f[r]
+        delta = fl * v
+        new = old + delta
+        f[r] = new
+        abs_delta = abs(delta)
+        sum_delta += abs_delta
+        # Per-entry overlap |old| + |delta| - |old + delta|: exactly zero where
+        # the two share a sign, and never negative, because rounding is monotone.
+        cancelled += abs(old) + abs_delta - abs(new)
+    return abs(fl), cancelled, sum_delta
 
 
 def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionState:
@@ -286,18 +296,62 @@ def run_diffusion(
 
 def _bind(m: SparseColumnMatrix, state: DiffusionState, order: np.ndarray | None = None,
           acc: np.ndarray | None = None, delivered: np.ndarray | None = None):
-    """A step function of :mod:`._clu` bound to ``m`` and to ``state``'s F and H.
+    """A step function bound to ``m`` and to ``state``'s F and H.
 
     Coordinate-level along ``order``, updating ``acc`` and ``delivered`` in
-    place too; else vector-level. Without a compiler the vector-level one is
-    :func:`_vector_step`, one step per call.
+    place too; else vector-level. These are the compiled kernels of
+    :mod:`._clu`; without a compiler, :func:`_python_clu` and a lambda that
+    takes one :func:`_vector_step` per call.
     """
     kernels = _clu.load()
-    if order is not None:
-        return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, delivered)
-    if kernels.vlu is None:
+    if kernels is None and order is None:
         return lambda k, stop_at: [_vector_step(m, state.f, state.h)]
-    return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h)
+    if kernels is None:
+        return _python_clu(m, state, order.tolist(), acc, delivered)
+    if order is None:
+        return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h)
+    return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, delivered)
+
+
+def _python_clu(m: SparseColumnMatrix, state: DiffusionState, order: list[int],
+                acc: np.ndarray, delivered: np.ndarray):
+    """``steps(k, pos, stop_at)`` of ``fluidsolve_clu_steps``, on :func:`_coordinate_step`.
+
+    The per-column tuples, built once per run, halve the cost of a step.
+    """
+    bounds, rows, vals = m.indptr.tolist(), m.rows.tolist(), m.vals.tolist()
+    columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    f, h, period = state.f.data, state.h.data, len(order)
+
+    def steps(k: int, pos: int, stop_at: float) -> int:
+        resid, win_c, win_k, total_c, total_k = acc.tolist()
+        count = int(delivered[0])
+        taken = 0
+        for taken in range(1, k + 1):
+            i = order[pos]
+            pos = 0 if pos + 1 == period else pos + 1
+            column = columns[i]
+            losses = _coordinate_step(f, h, i, column)
+            if losses is not None:
+                abs_fl, cancelled, sum_delta = losses
+                contracted = abs_fl - sum_delta
+                if contracted <= 0.0:  # _clamp, inlined: a call costs more than the test
+                    contracted = 0.0
+                resid = resid - abs_fl + sum_delta - cancelled
+                if resid < 0.0:  # a NaN stays NaN for the exact check to catch
+                    resid = 0.0
+                count += len(column)
+                total_c += cancelled
+                total_k += contracted
+                win_c += cancelled
+                win_k += contracted
+            if resid <= stop_at:
+                break
+        acc[:] = (resid, win_c, win_k, total_c, total_k)
+        delivered[0] = count
+        return taken
+
+    return steps
 
 
 def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:
@@ -327,17 +381,16 @@ def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
     """Coordinate-level steps in stretches; mutates ``state``, returns the status.
 
     Each stretch runs up to the next window end, multiple of n or the budget
-    in one call of the step function from :mod:`._clu` (compiled, or its
-    Python twin), which updates F, H, the running residual, the window sums,
-    the totals and the nonzeros delivered in place. Each step performs the
-    IEEE operations of :func:`diffuse_coordinate` entry by entry, so F and H
-    end bitwise equal to that many calls. The per-step sums (cancelled,
-    contracted) add entries in column order, where numpy adds 8 or more
-    pairwise, so they may differ in the last bits. The running residual
-    follows l1(F) - |fl| + sum|delta| - cancelled, the engine's update in
-    exact arithmetic; the step function stops once it reaches tol, and it is
-    replaced by the exact ``np.abs(F).sum()`` then and every n steps. Only an
-    exact value ends the run.
+    in one call of the step function of :func:`_bind`, which updates F, H,
+    the running residual, the window sums, the totals and the nonzeros
+    delivered in place. Each step performs the IEEE operations of
+    :func:`_coordinate_step` in column order, so F, H and every step's
+    losses are bitwise those of that many :func:`diffuse_coordinate` calls,
+    and so are the window sums and totals, which add them in step order.
+    The running residual follows l1(F) - |fl| + sum|delta| - cancelled, the
+    engine's update in exact arithmetic; the step function stops once it
+    reaches tol, and it is replaced by the exact ``np.abs(F).sum()`` then
+    and every n steps. Only an exact value ends the run.
     """
     n = m.n
     stop_at = -1.0 if stop.tol is None else stop.tol

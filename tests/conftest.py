@@ -9,11 +9,11 @@ from fluidsolve import _clu
 def clu_path(request, monkeypatch):
     """Runs through the compiled kernel or as without a compiler (None: unchanged).
 
-    Without a compiler, coordinate-level runs use the kernel's Python twin and
-    vector-level runs take one step per call of diffuse_vector's arithmetic.
+    Without a compiler, runs take the per-step engine's own steps: coordinate-level
+    ones a stretch of _coordinate_step calls, vector-level ones one _vector_step per call.
     """
     if request.param == "fallback":
-        monkeypatch.setattr(_clu, "load", lambda: _clu.FALLBACK)
-    elif request.param == "kernel" and _clu.load() is _clu.FALLBACK:
+        monkeypatch.setattr(_clu, "load", lambda: None)
+    elif request.param == "kernel" and _clu.load() is None:
         pytest.skip("no C compiler to build the diffusion kernel")
     return request.param

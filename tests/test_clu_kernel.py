@@ -1,15 +1,16 @@
 """The compiled diffusion kernel against its fallbacks, and how it is loaded.
 
 ``fluidsolve._clu.load`` compiles ``_clu.c`` into ``$XDG_CACHE_HOME/fluidsolve``
-on first use and falls back to ``_clu.FALLBACK`` when it cannot: the Python
-twin of the coordinate-level step function, and ``diffuse_vector`` for
-vector-level steps. The loader tests run the CLI in fresh interpreters, each
-with its own cache directory.
+on first use and returns None when it cannot; runs then take the per-step
+engine's own steps, ``diffusion._coordinate_step`` and ``diffusion._vector_step``.
+The loader tests run the CLI in fresh interpreters, each with its own cache
+directory.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -28,8 +29,8 @@ N = 2000
 def _run(path, m, f0, seq, stop, every):
     with pytest.MonkeyPatch.context() as mp:
         if path == "fallback":
-            mp.setattr(_clu, "load", lambda: _clu.FALLBACK)
-        elif _clu.load() is _clu.FALLBACK:
+            mp.setattr(_clu, "load", lambda: None)
+        elif _clu.load() is None:
             pytest.skip("no C compiler to build the coordinate-level kernel")
         return run_diffusion(m, f0, seq=seq, stop=stop, every=every)
 
@@ -74,9 +75,9 @@ def test_kernel_matches_fallback_bitwise(every, end):
     ("h", np.zeros(4)),  # wrong length
 ])
 def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
-    bind = _clu.load().clu
-    if bind is _clu.bind_py:
+    if _clu.load() is None:
         pytest.skip("no C compiler to build the coordinate-level kernel")
+    bind = _clu.load().clu
     arrays = dict(order=np.arange(3), indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]),
                   vals=np.full(3, 0.5), f=np.ones(3), h=np.zeros(3), acc=np.zeros(5),
                   delivered=np.zeros(1, dtype=np.int64))
@@ -94,15 +95,24 @@ def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     ("cols", np.array([0, -1, 2])),  # negative column
 ])
 def test_vector_kernel_rejects_arrays_that_do_not_fit(name, bad):
-    bind = _clu.load().vlu
-    if bind is None:
+    if _clu.load() is None:
         pytest.skip("no C compiler to build the vector-level kernel")
+    bind = _clu.load().vlu
     arrays = dict(rows=np.array([1, 2, 0]), cols=np.arange(3), vals=np.full(3, 0.5), f=np.ones(3),
                   h=np.zeros(3))
     # one call runs at most STRETCH steps, the rows its buffer holds
     assert len(bind(**arrays)(_clu.STRETCH + 1, -1.0)) == _clu.STRETCH
     with pytest.raises(ValueError):
         bind(**{**arrays, name: bad})
+
+
+def test_kernel_builds_without_warnings(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH to build the kernel")
+    flags = (*_clu.CFLAGS, "-Wall", "-Wextra", "-Werror")
+    proc = subprocess.run(["cc", *flags, "-o", str(tmp_path / "_clu.so"), str(_clu.SOURCE)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- loading -------------------------------------------------------------------
@@ -112,7 +122,7 @@ import sys
 from fluidsolve import _clu
 from fluidsolve.cli import main
 code = main(sys.argv[1:])
-print("kernel", _clu.load() is not _clu.FALLBACK)
+print("kernel", _clu.load() is not None)
 print("modules", "hashlib" in sys.modules, "subprocess" in sys.modules)
 sys.exit(code)
 """

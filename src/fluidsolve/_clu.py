@@ -1,18 +1,19 @@
-"""Diffusion step functions compiled from ``_clu.c``.
+"""Diffusion runs compiled from ``_clu.c``.
 
 :func:`load` returns a :class:`Kernels` pair of ``bind`` functions, each of
-which ties a step function of ``_clu.c`` to one run's arrays:
+which ties a run function of ``_clu.c`` to one run's arrays:
 
-* ``clu(order, indptr, rows, vals, f, h, acc, delivered)`` returns
-  ``steps(k, pos, stop_at) -> taken`` (``fluidsolve_clu_steps`` documents the
-  contract);
-* ``vlu(rows, cols, vals, f, h)`` returns ``steps(k, stop_at) -> rows``, the
-  (residual, cancelled, contracted) row of each step taken
-  (``fluidsolve_vlu_steps``).
+* ``clu(order, indptr, rows, vals, f, h, acc, run, every)`` for the
+  coordinate-level driver (``fluidsolve_clu_run`` documents the contract);
+* ``vlu(rows, cols, vals, f, h, acc, run)`` for vector-level steps
+  (``fluidsolve_vlu_run``).
 
-Binding once per run checks the arrays once and keeps a call at about 2 us,
-so a run may make one call per trace window even when the window is a
-single step.
+Each returns ``steps(max_steps, stop_at) -> rows``: one call runs until the
+status is settled, ``max_steps`` is reached or :data:`STRETCH` trace rows are
+written, and returns those rows as [residual, cancelled, contracted] lists,
+while ``acc`` and ``run`` carry the rest of the run's state. A run binds
+once, which checks the arrays once, and a run of up to :data:`STRETCH` rows
+is then one call.
 
 The C source is compiled on first use with ``cc`` into
 ``$XDG_CACHE_HOME/fluidsolve`` (default ``~/.cache/fluidsolve``), under a
@@ -38,7 +39,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_clu.c")
 # -ffp-contract=off: a fused multiply-add would change the bits of old + fl*v.
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# Most vector-level steps one call runs: the size of the buffer their rows go to.
+# Most trace rows one call writes: the size of the buffer they go to.
 STRETCH = 256
 
 
@@ -54,41 +55,52 @@ def _in_range(index, n: int) -> bool:
     return index.size == 0 or index.view(np.uint64).max() < n
 
 
-def _check_clu(order, indptr, rows, vals, f, h, acc, delivered) -> None:
-    """Raise unless the arrays are what ``fluidsolve_clu_steps``'s pointers assume."""
+def _check_clu(order, indptr, rows, vals, f, h, acc, run, every) -> None:
+    """Raise unless the arguments are what ``fluidsolve_clu_run``'s pointers assume."""
     n = f.size
     _fit(((order, np.int64, order.size), (indptr, np.int64, n + 1), (rows, np.int64, rows.size),
           (vals, np.float64, rows.size), (f, np.float64, n), (h, np.float64, n),
-          (acc, np.float64, 5), (delivered, np.int64, 1)), "coordinate-level")
+          (acc, np.float64, 5), (run, np.int64, 3)), "coordinate-level")
     if (order.size == 0 or indptr[0] != 0 or indptr[-1] != rows.size
             or (indptr[1:] < indptr[:-1]).any()):
         raise ValueError("empty update order, or indptr does not delimit the stored entries")
-    if not (_in_range(order, n) and _in_range(rows, n)):
-        raise ValueError("index out of range for the coordinate-level kernel")
+    if not (_in_range(order, n) and _in_range(rows, n)) or every < 1 or run[0] < 0:
+        raise ValueError("index, window or step out of range for the coordinate-level kernel")
 
 
-def _check_vlu(rows, cols, vals, f, h) -> None:
-    """Raise unless the arrays are what ``fluidsolve_vlu_steps``'s pointers assume."""
+def _check_vlu(rows, cols, vals, f, h, acc, run) -> None:
+    """Raise unless the arrays are what ``fluidsolve_vlu_run``'s pointers assume."""
     n = f.size
     _fit(((rows, np.int64, rows.size), (cols, np.int64, rows.size), (vals, np.float64, rows.size),
-          (f, np.float64, n), (h, np.float64, n)), "vector-level")
+          (f, np.float64, n), (h, np.float64, n), (acc, np.float64, 5), (run, np.int64, 3)),
+         "vector-level")
     if not (_in_range(rows, n) and _in_range(cols, n)):
         raise ValueError("index out of range for the vector-level kernel")
+
+
+def _steps(fn, sizes, arrays):
+    """``steps(max_steps, stop_at)`` of ``fn`` on ``sizes``, ``arrays`` and a buffer of rows."""
+    out = np.empty((STRETCH, 3))
+    arrays = (*arrays, out)
+    # made once: ctypes would convert each Python int argument again on every call
+    ints = map(ctypes.c_int64, (STRETCH, *sizes))
+    args = [*ints, *(ctypes.c_void_p(a.ctypes.data) for a in arrays)]
+
+    def steps(max_steps, stop_at):
+        return out[:fn(max_steps, stop_at, *args)].tolist()
+
+    steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
+    return steps
 
 
 def _bind_clu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
-    def bind(order, indptr, rows, vals, f, h, acc, delivered):
-        arrays = (order, indptr, rows, vals, f, h, acc, delivered)
-        _check_clu(*arrays)
-        ptrs = [order.ctypes.data, order.size, *(a.ctypes.data for a in arrays[1:])]
-
-        def steps(k, pos, stop_at):
-            return fn(k, pos, stop_at, *ptrs)
-
-        steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
-        return steps
+    def bind(order, indptr, rows, vals, f, h, acc, run, every):
+        _check_clu(order, indptr, rows, vals, f, h, acc, run, every)
+        scratch = np.empty(f.size)
+        return _steps(fn, (every, order.size, f.size),
+                      (order, indptr, rows, vals, f, h, scratch, acc, run))
 
     return bind
 
@@ -96,18 +108,10 @@ def _bind_clu(fn):
 def _bind_vlu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
-    def bind(rows, cols, vals, f, h):
-        _check_vlu(rows, cols, vals, f, h)
-        scratch, out = np.empty(2 * f.size), np.empty((STRETCH, 3))
-        arrays = (rows, cols, vals, f, h, scratch, out)
-        ptrs = [f.size, rows.size, *(a.ctypes.data for a in arrays)]
-
-        def steps(k, stop_at):
-            """Run up to min(k, STRETCH) steps; return their [residual, cancelled, contracted]."""
-            return out[:fn(min(k, STRETCH), stop_at, *ptrs)].tolist()
-
-        steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
-        return steps
+    def bind(rows, cols, vals, f, h, acc, run):
+        _check_vlu(rows, cols, vals, f, h, acc, run)
+        scratch = np.empty(2 * f.size)
+        return _steps(fn, (f.size, rows.size), (rows, cols, vals, f, h, scratch, acc, run))
 
     return bind
 
@@ -154,9 +158,9 @@ def load() -> Kernels | None:
         lib = ctypes.CDLL(str(target))
     except OSError:  # no cc, a failed build, a cache directory that cannot be written
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    clu, vlu = lib.fluidsolve_clu_steps, lib.fluidsolve_vlu_steps
-    clu.argtypes = [i64, i64, ctypes.c_double, ptr, i64, *[ptr] * 7]
-    vlu.argtypes = [i64, ctypes.c_double, i64, i64, *[ptr] * 7]
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    clu, vlu = lib.fluidsolve_clu_run, lib.fluidsolve_vlu_run
+    clu.argtypes = [i64, f64, i64, i64, i64, i64, *[ptr] * 10]
+    vlu.argtypes = [i64, f64, i64, i64, i64, *[ptr] * 9]
     clu.restype = vlu.restype = i64
     return Kernels(_bind_clu(clu), _bind_vlu(vlu))

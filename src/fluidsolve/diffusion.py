@@ -35,17 +35,18 @@ Each step also splits the L1 mass that left F into two causes:
 
 :func:`diffuse_coordinate` and :func:`diffuse_vector` are the per-step
 engine, the reference for everything else. :func:`run_diffusion` drives
-both kinds of run through compiled step functions (``_clu.c``), which
-reproduce the engine bitwise in F, H and every loss; without a compiler it
-runs the engine's own steps, :func:`_coordinate_step` and
-:func:`_vector_step`. A coordinate-level run keeps one trace row per window
-of steps.
+both kinds of run through compiled run functions (``_clu.c``), which
+reproduce the engine bitwise in F, H and every loss and return the run's
+trace rows a buffer at a time; without a compiler it runs the engine's own
+steps, :func:`_coordinate_step` and :func:`_vector_step`, in the same loops.
+A coordinate-level run keeps one trace row per window of steps.
 
 The state and every row the engine records hold the exact l1(F), that is
-``np.abs(F).sum()`` after the step. Only the coordinate-level driver keeps
-a running residual, as a local between exact recomputes (every n steps and
-whenever it reaches tol): its rows at windows that do not end on a
-multiple of n steps carry that running total, which drifts by roundoff.
+``np.abs(F).sum()`` after the step. Only the coordinate-level driver, the
+kernel's window loop, keeps a running residual, as a local between exact
+recomputes (every n steps and whenever it reaches tol): its rows at windows
+that do not end on a multiple of n steps carry that running total, which
+drifts by roundoff.
 
 The engine is thread-compatible, not thread-safe: a DiffusionState is owned
 by one driver, while independent runs may share read-only matrices freely.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -254,13 +256,14 @@ class DiffusionRun:
         return self.state.step
 
 
-def _status(residual: float, tol: float | None) -> str:
-    """Status implied by an exact l1(F): "budget" means keep going."""
+_STATUS = ("budget", "converged", "non_finite")  # run[2] of the run functions indexes this
+
+
+def _status(residual: float, stop_at: float) -> int:
+    """Index in _STATUS of the status an exact l1(F) implies; stop_at is tol, or -1 for none."""
     if not math.isfinite(residual):
-        return "non_finite"
-    if tol is not None and residual <= tol:
-        return "converged"
-    return "budget"
+        return 2
+    return 1 if residual <= stop_at else 0
 
 
 def run_diffusion(
@@ -286,131 +289,120 @@ def run_diffusion(
     stop = stop or StoppingRule()
 
     state = DiffusionState.start(as_vector(f0, m.n))
-    status = _status(state.residual_l1(), stop.tol)
-    if status != "budget":
-        return DiffusionRun(state, status)
-    if seq is None:
-        return DiffusionRun(state, _run_vlu(state, m, stop))
-    return DiffusionRun(state, _run_clu(state, m, seq, stop, every))
+    stop_at = -1.0 if stop.tol is None else stop.tol
+    status = _STATUS[_status(state.trace[0].residual_l1, stop_at)]
+    if status == "budget":
+        status = _run(state, m, stop, None if seq is None else seq.period(), every)
+    return DiffusionRun(state, status)
 
 
-def _bind(m: SparseColumnMatrix, state: DiffusionState, order: np.ndarray | None = None,
-          acc: np.ndarray | None = None, delivered: np.ndarray | None = None):
-    """A step function bound to ``m`` and to ``state``'s F and H.
+def _bind(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np.ndarray,
+          order: np.ndarray | None = None, every: int = 1):
+    """``steps(max_steps, stop_at) -> rows`` on ``m``, ``state``'s F and H, ``acc`` and ``run``.
 
-    Coordinate-level along ``order``, updating ``acc`` and ``delivered`` in
-    place too; else vector-level. These are the compiled kernels of
-    :mod:`._clu`; without a compiler, :func:`_python_clu` and a lambda that
-    takes one :func:`_vector_step` per call.
+    Coordinate-level along ``order`` with windows of ``every`` steps, else
+    vector-level: the kernels of :mod:`._clu`, or :func:`_python_clu` and
+    :func:`_python_vlu` without a compiler.
     """
     kernels = _clu.load()
     if kernels is None and order is None:
-        return lambda k, stop_at: [_vector_step(m, state.f, state.h)]
+        return _python_vlu(m, state, acc, run)
     if kernels is None:
-        return _python_clu(m, state, order.tolist(), acc, delivered)
+        return _python_clu(m, state, order.tolist(), every, acc, run)
     if order is None:
-        return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h)
-    return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, delivered)
+        return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h, acc, run)
+    return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, run, every)
 
 
-def _python_clu(m: SparseColumnMatrix, state: DiffusionState, order: list[int],
-                acc: np.ndarray, delivered: np.ndarray):
-    """``steps(k, pos, stop_at)`` of ``fluidsolve_clu_steps``, on :func:`_coordinate_step`.
+def _python_clu(m: SparseColumnMatrix, state: DiffusionState, order: list[int], every: int,
+                acc: np.ndarray, run: np.ndarray):
+    """``fluidsolve_clu_run``'s window loop on :func:`_coordinate_step`, in one call per run.
 
     The per-column tuples, built once per run, halve the cost of a step.
     """
     bounds, rows, vals = m.indptr.tolist(), m.rows.tolist(), m.vals.tolist()
     columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    f, h, period = state.f.data, state.h.data, len(order)
+    f, h, n, period = state.f.data, state.h.data, m.n, len(order)
 
-    def steps(k: int, pos: int, stop_at: float) -> int:
+    def steps(max_steps: int, stop_at: float) -> list:
         resid, win_c, win_k, total_c, total_k = acc.tolist()
-        count = int(delivered[0])
-        taken = 0
-        for taken in range(1, k + 1):
-            i = order[pos]
-            pos = 0 if pos + 1 == period else pos + 1
-            column = columns[i]
-            losses = _coordinate_step(f, h, i, column)
-            if losses is not None:
-                abs_fl, cancelled, sum_delta = losses
-                contracted = abs_fl - sum_delta
-                if contracted <= 0.0:  # _clamp, inlined: a call costs more than the test
-                    contracted = 0.0
-                resid = resid - abs_fl + sum_delta - cancelled
-                if resid < 0.0:  # a NaN stays NaN for the exact check to catch
-                    resid = 0.0
-                count += len(column)
-                total_c += cancelled
-                total_k += contracted
-                win_c += cancelled
-                win_k += contracted
-            if resid <= stop_at:
-                break
+        step, count, status = run.tolist()
+        pos, out = step % period, []
+        while status == 0 and step < max_steps:
+            for _ in range(min(every - step % every, n - step % n, max_steps - step)):
+                i = order[pos]
+                pos = 0 if pos + 1 == period else pos + 1
+                step += 1
+                column = columns[i]
+                losses = _coordinate_step(f, h, i, column)
+                if losses is not None:
+                    abs_fl, cancelled, sum_delta = losses
+                    contracted = abs_fl - sum_delta
+                    if contracted <= 0.0:  # _clamp, inlined: a call costs more than the test
+                        contracted = 0.0
+                    resid = resid - abs_fl + sum_delta - cancelled
+                    if resid < 0.0:  # a NaN stays NaN for the exact check to catch
+                        resid = 0.0
+                    count += len(column)
+                    total_c += cancelled
+                    total_k += contracted
+                    win_c += cancelled
+                    win_k += contracted
+                if resid <= stop_at:
+                    break
+            if resid <= stop_at or step % n == 0:
+                resid = state.residual_l1()
+                status = _status(resid, stop_at)
+            if step % every == 0:
+                out.append((resid, win_c, win_k))
+                win_c = win_k = 0.0
         acc[:] = (resid, win_c, win_k, total_c, total_k)
-        delivered[0] = count
-        return taken
+        run[:] = (step, count, status)
+        return out
 
     return steps
 
 
-def _run_vlu(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule) -> str:
-    """Vector-level steps; mutates ``state``, returns the status.
+def _python_vlu(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np.ndarray):
+    """``fluidsolve_vlu_run`` as one :func:`_vector_step` per call."""
 
-    The step function of :func:`_bind` updates F and H in place and returns
-    each step's row: the compiled one runs stretches of steps, performing the
-    operations of :func:`diffuse_vector` in numpy's order, and without a
-    compiler :func:`_vector_step` runs one step per call. Either way every
-    row, F and H are bitwise what that many :func:`diffuse_vector` calls
-    give, and recording the rows in step order gives the same totals.
-    """
-    steps = _bind(m, state)
-    status = "budget"
-    stop_at = -1.0 if stop.tol is None else stop.tol
-    while status == "budget" and state.step < stop.max_steps:
-        for row in steps(stop.max_steps - state.step, stop_at):
-            state.step += 1
-            state.delivered += m.nnz
-            state.record(*row)
-        status = _status(state.trace[-1].residual_l1, stop.tol)
-    return status
+    def steps(max_steps: int, stop_at: float) -> list:
+        row = _vector_step(m, state.f, state.h)
+        acc[[0, 3, 4]] = row[0], acc[3] + row[1], acc[4] + row[2]
+        run[:] = (run[0] + 1, run[1] + m.nnz, _status(row[0], stop_at))
+        return [row]
+
+    return steps
 
 
-def _run_clu(state: DiffusionState, m: SparseColumnMatrix, seq: UpdateSequence,
-             stop: StoppingRule, every: int) -> str:
-    """Coordinate-level steps in stretches; mutates ``state``, returns the status.
+def _run(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule,
+         order: np.ndarray | None = None, every: int = 1) -> str:
+    """Step ``state`` on by the run function of :func:`_bind`; return the status.
 
-    Each stretch runs up to the next window end, multiple of n or the budget
-    in one call of the step function of :func:`_bind`, which updates F, H,
-    the running residual, the window sums, the totals and the nonzeros
-    delivered in place. Each step performs the IEEE operations of
-    :func:`_coordinate_step` in column order, so F, H and every step's
-    losses are bitwise those of that many :func:`diffuse_coordinate` calls,
-    and so are the window sums and totals, which add them in step order.
-    The running residual follows l1(F) - |fl| + sum|delta| - cancelled, the
-    engine's update in exact arithmetic; the step function stops once it
-    reaches tol, and it is replaced by the exact ``np.abs(F).sum()`` then
+    Coordinate-level along ``order`` with a trace row per ``every`` steps,
+    else vector-level with a row per step; rows are numbered on from those
+    ``state`` holds. Each call updates F, H, the running residual, the
+    window sums, the totals, the step and the nonzeros delivered in place,
+    and returns a buffer of rows, appended here in step order. F, H, every
+    loss and every exact residual are bitwise the per-step engine's (see
+    ``_clu.c``). The running residual follows l1(F) - |fl| + sum|delta| -
+    cancelled, the engine's update in exact arithmetic; a stretch stops once
+    it reaches tol, and it is replaced by the exact ``np.abs(F).sum()`` then
     and every n steps. Only an exact value ends the run.
     """
-    n = m.n
+    acc = np.array([state.trace[-1].residual_l1, 0.0, 0.0, state.total_cancelled,
+                    state.total_contracted])
+    run = np.array([state.step, state.delivered, 0], dtype=np.int64)
+    steps = _bind(m, state, acc, run, order, every)
     stop_at = -1.0 if stop.tol is None else stop.tol
-    order = seq.period()
-    # running residual, window cancelled, window contracted, total cancelled, total contracted
-    acc = np.array([state.residual_l1(), 0.0, 0.0, state.total_cancelled, state.total_contracted])
-    delivered = np.array([state.delivered], dtype=np.int64)
-    steps = _bind(m, state, order, acc, delivered)
-    status = "budget"
-    step = state.step  # 0: run_diffusion starts every run afresh
-    while status == "budget" and step < stop.max_steps:
-        k = min(every - step % every, n - step % n, stop.max_steps - step)
-        step += steps(k, step % order.size, stop_at)
-        if acc[0] <= stop_at or step % n == 0:
-            acc[0] = state.residual_l1()
-            status = _status(acc[0], stop.tol)
-        if step % every == 0:
-            state.trace.append(TraceRecord(step // every, *acc[:3].tolist()))
-            acc[1] = acc[2] = 0.0
-    state.step, state.delivered = step, int(delivered[0])
+    trace, status = state.trace, "budget"
+    while status == "budget" and state.step < stop.max_steps:
+        rows = steps(stop.max_steps, stop_at)
+        # row k is window (or step) k; tuple.__new__ is TraceRecord._make without a Python call
+        steps_of = range(len(trace), len(trace) + len(rows))
+        trace.extend(map(tuple.__new__, repeat(TraceRecord), zip(steps_of, *zip(*rows))))
+        state.step, state.delivered, code = run.tolist()
+        status = _STATUS[code]
     state.total_cancelled, state.total_contracted = acc[3:].tolist()
     return status
 

@@ -224,9 +224,10 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     coordinate-level step pairs with one Gauss-Seidel coordinate update on
     the same index. Reports the max over steps of l1(x_n - (H_n + offset)),
     a NaN (an overflowed iterate) included. Never raises on mismatch. Each step
-    is one ``step_*`` call and one call of the step function ``run_diffusion``
-    runs. Both sides are copied into buffers of at most 2**16 doubles, each
-    compared in one reduction with the bits of a per-step ``np.abs(...).sum()``.
+    is one ``step_*`` call and one call, asked for one more step, of the run
+    function ``run_diffusion`` uses. Both sides are copied into buffers of at
+    most 2**16 doubles, each compared in one reduction with the bits of a
+    per-step ``np.abs(...).sum()``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -235,7 +236,7 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     state = DiffusionState.start(equiv.f0)
     f, h, x = state.f, state.h, spec.initial_vector()  # every step updates F and H in place
     order = spec.seq.period() if spec.coordinate_level else None
-    twin = _bind(p, state, order, np.zeros(5), np.zeros(1, dtype=np.int64))
+    twin = _bind(p, state, np.zeros(5), np.zeros(3, dtype=np.int64), order)
     if order is not None:
         indices, view = order.tolist(), RowView(p)
     track_pi = kind == "PI"
@@ -249,14 +250,13 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
         rows = min(block, n_steps + 1 - start)
         for j in range(rows):
             t = start + j
-            if t and order is not None:
-                pos = (t - 1) % order.size
-                twin(1, pos, -1.0)
-                i = indices[pos]
-                x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
-            elif t:
-                twin(1, -1.0)
-                x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
+            if t:
+                twin(t, -1.0)  # one step, whatever the status of the one before
+                if order is not None:
+                    i = indices[(t - 1) % order.size]
+                    x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
+                else:
+                    x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
             xs[j] = x
             hs[j] = h
             if track_pi:

@@ -3,8 +3,8 @@
 Matrices arrive as MatrixMarket coordinate files ("%%MatrixMarket matrix
 coordinate real general", 1-based indices, blank and comment lines anywhere
 after the header); vectors as plain text, one real per line. Non-finite values
-(NaN, inf) are rejected at parse time. Every CSV the package writes goes
-through :func:`write_csv`, which renders floats with full double precision.
+(NaN, inf) are rejected at parse time. Every CSV the package writes has the
+bytes of :func:`write_csv`, which renders floats with full double precision.
 """
 
 from __future__ import annotations
@@ -193,6 +193,10 @@ def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
             )
 
 
-def write_trace_csv(path, records: Sequence) -> None:
-    """Write trace rows as 'step,residual_l1,cancelled,contracted' CSV."""
-    write_csv(path, TRACE_HEADER, records)
+def write_trace_csv(path, records: Sequence[tuple]) -> None:
+    """Write trace rows as 'step,residual_l1,cancelled,contracted' CSV, one format per row.
+
+    The bytes are :func:`write_csv`'s: ``%.17g`` is :func:`format_float`, ``%d`` is ``str``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(TRACE_HEADER + "\n" + "".join(map("%d,%.17g,%.17g,%.17g\n".__mod__, records)))

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluidsolve import StoppingRule, UpdateSequence, _clu, l1_norm, run_diffusion
+from fluidsolve import (BUILTIN_CASES, StoppingRule, UpdateSequence, _clu, l1_norm, load_case,
+                        run_diffusion)
+from fluidsolve.cli import RunConfig, run_experiment
 from helpers import perfbench_graphs, seeded_link_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +75,9 @@ def test_kernel_matches_fallback_bitwise(every, end):
     ("indptr", np.array([0, 2, 1, 3])),  # decreasing column bounds
     ("vals", np.ones(3, dtype=np.float32)),  # wrong dtype for a double pointer
     ("h", np.zeros(4)),  # wrong length
+    ("run", np.zeros(3)),  # wrong dtype for an int64 pointer
+    ("every", 0),  # a window of no steps
+    ("run", np.array([-1, 0, 0])),  # a negative step, which would index order before its start
 ])
 def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     if _clu.load() is None:
@@ -80,8 +85,10 @@ def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     bind = _clu.load().clu
     arrays = dict(order=np.arange(3), indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]),
                   vals=np.full(3, 0.5), f=np.ones(3), h=np.zeros(3), acc=np.zeros(5),
-                  delivered=np.zeros(1, dtype=np.int64))
-    assert bind(**arrays)(3, 0, -1.0) == 3
+                  run=np.zeros(3, dtype=np.int64), every=1)
+    steps = bind(**arrays)
+    assert len(steps(3, -1.0)) == 3  # a row per step, as every is 1
+    assert len(steps(3 + _clu.STRETCH + 1, -1.0)) == _clu.STRETCH  # at most STRETCH per call
     with pytest.raises(ValueError):
         bind(**{**arrays, name: bad})
 
@@ -93,17 +100,36 @@ def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     ("cols", np.array([0, 1])),  # shorter than the stored entries
     ("rows", np.array([1, 3, 0])),  # row past n
     ("cols", np.array([0, -1, 2])),  # negative column
+    ("acc", np.zeros(3)),  # too short for the run state
 ])
 def test_vector_kernel_rejects_arrays_that_do_not_fit(name, bad):
     if _clu.load() is None:
         pytest.skip("no C compiler to build the vector-level kernel")
     bind = _clu.load().vlu
     arrays = dict(rows=np.array([1, 2, 0]), cols=np.arange(3), vals=np.full(3, 0.5), f=np.ones(3),
-                  h=np.zeros(3))
+                  h=np.zeros(3), acc=np.zeros(5), run=np.zeros(3, dtype=np.int64))
     # one call runs at most STRETCH steps, the rows its buffer holds
     assert len(bind(**arrays)(_clu.STRETCH + 1, -1.0)) == _clu.STRETCH
     with pytest.raises(ValueError):
         bind(**{**arrays, name: bad})
+
+
+def test_coordinate_level_run_of_up_to_stretch_rows_is_one_call(tmp_path, monkeypatch):
+    kernels = _clu.load()
+    if kernels is None:
+        pytest.skip("no C compiler to build the coordinate-level kernel")
+    calls = []
+
+    def counted_clu(*arrays):
+        steps = kernels.clu(*arrays)
+        return lambda *args: calls.append(args) or steps(*args)
+
+    monkeypatch.setattr(_clu, "load", lambda: kernels._replace(clu=counted_clu))
+    for name in BUILTIN_CASES:  # what one round of the cases benchmark runs
+        cfg = RunConfig(schemes=("GSl", "GSa"), output_dir=tmp_path / name)
+        for trace in run_experiment(load_case(name), cfg).traces.values():
+            assert trace.converged and len(trace.run.trace) <= _clu.STRETCH + 1
+    assert len(calls) == 2 * len(BUILTIN_CASES)  # one call per run
 
 
 def test_kernel_builds_without_warnings(tmp_path):
@@ -113,6 +139,108 @@ def test_kernel_builds_without_warnings(tmp_path):
     proc = subprocess.run(["cc", *flags, "-o", str(tmp_path / "_clu.so"), str(_clu.SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- sanitizer gate ------------------------------------------------------------
+
+SANITIZED_CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                    "-ffp-contract=off", "-shared", "-fPIC")
+
+# Run by test_kernel_passes_the_sanitizers in a child under the sanitizer runtimes:
+# builds the kernel with the flags it is given, then holds both kernels, bit for bit,
+# to the no-compiler path and F and H to the per-step engine, on instances with
+# n from 1 to 300, empty columns, self-loops, explicit orders with repeats, windows
+# of 1, 3 and n steps, runs of more than STRETCH rows and runs that stop on tol.
+SANITIZED = """\
+import os
+import sys
+
+import numpy as np
+
+os.environ.pop("LD_PRELOAD", None)  # cc itself runs without the sanitizer runtime
+from fluidsolve import (DiffusionState, SparseColumnMatrix, StoppingRule, UpdateSequence, _clu,
+                        diffuse_coordinate, diffuse_vector, l1_norm, run_diffusion)
+
+_clu.CFLAGS = tuple(sys.argv[1:])
+kernels = _clu.load()
+assert kernels is not None, "the sanitized kernel did not build"
+
+
+def bits(state, status):
+    rows = [(r.step, r.residual_l1.hex(), r.cancelled.hex(), r.contracted.hex()) for r in state.trace]
+    return (state.f.tobytes(), state.h.tobytes(), rows, state.total_cancelled.hex(),
+            state.total_contracted.hex(), state.delivered, state.step, status)
+
+
+def no_compiler(*args, **kwargs):
+    _clu.load = lambda: None
+    try:
+        return run_diffusion(*args, **kwargs)
+    finally:
+        _clu.load = lambda: kernels
+
+
+def engine(m, f0, seq, steps):
+    state = DiffusionState.start(f0)
+    order = seq.period().tolist() if seq is not None else None
+    for t in range(steps):
+        if seq is None:
+            diffuse_vector(state, m)
+        else:
+            diffuse_coordinate(state, m, order[t % len(order)])
+    return state
+
+
+rng = np.random.default_rng(5)
+runs = 0
+for n in (1, 2, 7, 8, 9, 64, 129, 300):
+    # signed entries, self-loops and about a tenth of the columns left empty
+    pos = np.union1d(rng.choice(n * n, size=min(3 * n, n * n), replace=False),
+                     np.arange(0, n * n, n + 1)[: n // 10 + 1])
+    rows, cols = pos % n, pos // n
+    keep = rng.random(n)[cols] >= 0.1
+    m = SparseColumnMatrix.from_entries(n, rows[keep], cols[keep], rng.uniform(-1, 1, keep.sum()))
+    m = m.scaled(0.6 / max(m.column_l1_norms().max(), 1e-300))
+    f0 = rng.uniform(-1, 1, n)
+    repeats = rng.integers(0, n, n // 2 + 1)
+    for seq in (UpdateSequence.round_robin(n),
+                UpdateSequence.explicit(n, rng.permutation(np.concatenate((np.arange(n), repeats))).tolist()),
+                None):
+        for every in ((1, 3, n) if seq is not None else (1,)):
+            for stop in (StoppingRule(tol=None, max_steps=2 * _clu.STRETCH + 7),  # buffer refills
+                         StoppingRule(tol=0.2 * l1_norm(f0), max_steps=50 * n + 600)):  # stops on tol
+                got = run_diffusion(m, f0, seq=seq, stop=stop, every=every)
+                want = no_compiler(m, f0, seq=seq, stop=stop, every=every)
+                assert bits(got.state, got.status) == bits(want.state, want.status), (n, every, stop)
+                ref = engine(m, f0, seq, got.steps)
+                assert got.state.f.tobytes() == ref.f.tobytes(), (n, every, stop)
+                assert got.state.h.tobytes() == ref.h.tobytes(), (n, every, stop)
+                if seq is None:
+                    assert bits(got.state, 0)[2:7] == bits(ref, 0)[2:7], (n, stop)
+                runs += 1
+print("ok", runs)
+"""
+
+
+def _sanitizer_runtimes() -> list[str]:
+    """The paths of libasan.so and libubsan.so, or [] when gcc cannot resolve them."""
+    if shutil.which("gcc") is None:
+        return []
+    paths = [subprocess.run(["gcc", f"-print-file-name={lib}"], capture_output=True,
+                            text=True).stdout.strip() for lib in ("libasan.so", "libubsan.so")]
+    return paths if all(os.path.isabs(p) for p in paths) else []
+
+
+def test_kernel_passes_the_sanitizers(tmp_path):
+    runtimes = _sanitizer_runtimes()
+    if not runtimes:
+        pytest.skip("libasan.so does not resolve (gcc -print-file-name), so no sanitized build")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(tmp_path / "cache"),
+               LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run([sys.executable, "-c", SANITIZED, *SANITIZED_CFLAGS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.startswith("ok "), proc.stdout
 
 
 # -- loading -------------------------------------------------------------------

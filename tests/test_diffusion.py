@@ -18,7 +18,7 @@ from fluidsolve import (
     uniform_vector,
 )
 from fluidsolve import _clu
-from fluidsolve.diffusion import _run_vlu
+from fluidsolve.diffusion import _run
 from helpers import (
     engine_clu,
     identity,
@@ -286,6 +286,64 @@ def random_sparse(rng, n, scale):
     return m.scaled(scale / m.column_l1_norms().max())
 
 
+class TestCoordinateRows:
+    """The coordinate-level driver's rows, totals and exact residuals, bit for bit."""
+
+    @staticmethod
+    def bits(run):
+        rows = [(r.step, r.residual_l1.hex(), r.cancelled.hex(), r.contracted.hex())
+                for r in run.trace]
+        state = run.state
+        return (state.f.tobytes(), state.h.tobytes(), rows, state.total_cancelled.hex(),
+                state.total_contracted.hex(), state.delivered, run.steps, run.status)
+
+    @staticmethod
+    def no_compiler(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_clu, "load", lambda: None)
+            return run_diffusion(*args, **kwargs)
+
+    # n straddles numpy's pairwise-sum blocks: a plain loop below 8, 8 accumulators
+    # up to 128, halves split at a multiple of 8 above
+    @pytest.mark.parametrize("end", ["converged", "budget", "rows", "non_finite"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 8193])
+    def test_matches_fallback_and_numpy_sum(self, clu_path, n, end):
+        rng = np.random.default_rng(n)
+        m = random_sparse(rng, n, 1e300 if end == "non_finite" else 0.9)
+        f0 = 1e3 * random_signed_vector(rng, n)
+        seq = UpdateSequence.round_robin(n)
+        for every in sorted({1, 7, n}):
+            # past a multiple of n, and mid-window for a window of 3 or more steps
+            mid = max(every, n) + every // 2 + 1
+            if end == "converged":  # on the exact l1(F) after step mid
+                no_tol = StoppingRule(tol=None, max_steps=mid)
+                tol = l1_norm(self.no_compiler(m, f0, seq=seq, stop=no_tol, every=every).state.f)
+                stop = StoppingRule(tol=tol, max_steps=10 * mid)
+            elif end == "rows":  # more than a buffer of rows, ending mid-window
+                if every * _clu.STRETCH > 2**16:  # n = 1000, 8193: seconds without a compiler
+                    continue
+                stop = StoppingRule(tol=None, max_steps=(_clu.STRETCH + 1) * every + every // 2 + 1)
+            else:
+                stop = StoppingRule(tol=None, max_steps=mid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                run = run_diffusion(m, f0, seq=seq, stop=stop, every=every)
+                want = self.no_compiler(m, f0, seq=seq, stop=stop, every=every)
+            assert run.status == {"rows": "budget"}.get(end, end), (every, run.status)
+            assert self.bits(run) == self.bits(want), every
+            if end == "rows":
+                assert len(run.trace) > _clu.STRETCH + 1
+
+            # every row at a multiple of n holds np.abs(F).sum() after that step
+            state, exact = DiffusionState.start(f0), {0: np.abs(f0).sum()}
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in range(n, run.steps + 1, n):  # one state, resumed n steps at a time
+                    _run(state, m, StoppingRule(tol=None, max_steps=step), seq.period(), n)
+                    exact[step] = np.abs(state.f).sum()
+            rows = [r for r in run.trace if r.step * every % n == 0]
+            assert [r.residual_l1.hex() for r in rows] == [
+                float(exact[r.step * every]).hex() for r in rows], every
+
+
 class TestVectorDriver:
     """run_diffusion's vector-level driver against a loop of diffuse_vector, bit for bit."""
 
@@ -334,7 +392,7 @@ class TestVectorDriver:
         engine, driven = DiffusionState.start(f0), DiffusionState.start(f0)
         f_engine, f_driven = engine.f, driven.f
         diffuse_vector(engine, m)
-        _run_vlu(driven, m, StoppingRule(tol=None, max_steps=1))
+        _run(driven, m, StoppingRule(tol=None, max_steps=1))
         assert engine.f is f_engine and driven.f is f_driven
         assert engine.f.tobytes() == driven.f.tobytes() == want.tobytes()
 
@@ -376,7 +434,7 @@ class TestExactRecord:
         if mode == "clu":
             diffuse_coordinate(state, m, 0)
         else:  # run_diffusion stops at a NaN start, so its vector-level driver steps the state
-            assert _run_vlu(state, m, StoppingRule(tol=None, max_steps=5)) == "non_finite"
+            assert _run(state, m, StoppingRule(tol=None, max_steps=5)) == "non_finite"
             assert state.step == 1
         assert np.isnan(state.trace[-1].contracted)
         assert np.isnan(state.total_contracted)

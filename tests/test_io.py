@@ -14,7 +14,7 @@ from fluidsolve import (
     read_vector,
     write_trace_csv,
 )
-from fluidsolve.io import write_csv
+from fluidsolve.io import TRACE_HEADER, write_csv
 from helpers import perfbench_graphs
 
 HEADER = "%%MatrixMarket matrix coordinate real general\n"
@@ -235,6 +235,15 @@ class TestTraceCsv:
         fields = lines[2].split(",")
         assert fields[0] == "1"
         assert float(fields[2]) == 1.0 / 3.0  # 17 significant digits round-trip
+
+    def test_trace_writer_writes_the_generic_writers_bytes(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+        records = [TraceRecord(k, x, values[-1 - k], -x) for k, x in enumerate(values)]
+        records += [(np.int64(8), np.float64(0.1), np.float64(-0.0), np.float64(5e-324)),
+                    TraceRecord(10**12, 1.0 / 3.0, 2.5e-300, 123456789.0)]
+        write_trace_csv(tmp_path / "trace.csv", records)
+        write_csv(tmp_path / "generic.csv", TRACE_HEADER, records)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
     def test_write_csv_formats_by_type(self, tmp_path):
         path = tmp_path / "reports.csv"

@@ -25,7 +25,7 @@ from .equivalence import (
     to_diffusion,
     verify_equivalence,
 )
-from .io import ParseError, format_float, read_matrix_market, read_vector, write_trace_csv
+from .io import ParseError, read_matrix_market, read_vector, write_trace_csv
 from .linalg import (
     SparseColumnMatrix,
     UpdateSequence,

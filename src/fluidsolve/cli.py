@@ -44,7 +44,7 @@ import numpy as np
 from .cases import BUILTIN_CASES, DEFAULT_DAMPING, CaseDefinition, load_case
 from .diffusion import DiffusionRun, StoppingRule, run_diffusion
 from .equivalence import DiffusionEquivalent, diffusion_form, pagerank_matrix, verify_equivalence
-from .io import ParseError, read_matrix_market, read_vector, write_csv, write_trace_csv
+from .io import STEP_ROW, ParseError, read_matrix_market, read_vector, write_csv, write_trace_csv
 from .linalg import UpdateSequence, uniform_vector
 from .schemes import COORDINATE, LINEAR, SCHEME_KINDS, SchemeSpec
 
@@ -231,7 +231,7 @@ def run_verification(cfg: RunConfig, csv_path: Path):
             report.scheme = f"{case_name}/{kind}"
             reports.append(report)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(csv_path, "scheme,steps,max_discrepancy",
+    write_csv(csv_path, "scheme,steps,max_discrepancy", "%s,%d,%.17g",
               [(r.scheme, r.steps, r.max_discrepancy) for r in reports])
     return reports
 
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
             summary = cancellation_report(case, args.scheme, args.steps, seq_spec=args.seq)
             args.out.mkdir(parents=True, exist_ok=True)
             csv_path = args.out / f"{case.name}_{args.scheme}_cancellation.csv"
-            write_csv(csv_path, "step,cancelled,contracted,fraction", summary.per_step)
+            write_csv(csv_path, "step,cancelled,contracted,fraction", STEP_ROW, summary.per_step)
             print(f"{case.name} {args.scheme}: cumulative cancellation fraction "
                   f"{summary.cumulative_fraction!r} over {summary.steps} steps")
             print(f"fraction at classical update 5: {summary.fraction_at_update(5)!r}")

@@ -3,8 +3,9 @@
 Matrices arrive as MatrixMarket coordinate files ("%%MatrixMarket matrix
 coordinate real general", 1-based indices, blank and comment lines anywhere
 after the header); vectors as plain text, one real per line. Non-finite values
-(NaN, inf) are rejected at parse time. Every CSV the package writes has the
-bytes of :func:`write_csv`, which renders floats with full double precision.
+(NaN, inf) are rejected at parse time. Every CSV the package writes goes through
+:func:`write_csv`, one ``%`` row format per file: ``%.17g`` for a double (17 significant
+digits, enough to round-trip it), ``%d`` for a step or count, ``%s`` for a name.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ __all__ = [
     "read_vector",
     "write_csv",
     "write_trace_csv",
-    "format_float",
     "TRACE_HEADER",
+    "STEP_ROW",
 ]
 
 TRACE_HEADER = "step,residual_l1,cancelled,contracted"
+STEP_ROW = "%d,%.17g,%.17g,%.17g"  # a step and three doubles: trace and cancel-report rows
 _SKIPPED = re.compile(r"\s*(?:%|$)")  # matches a blank or comment line
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
@@ -175,28 +177,12 @@ def read_vector(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def format_float(x: float) -> str:
-    """Render with 17 significant digits (enough to round-trip a double)."""
-    return format(float(x), ".17g")
-
-
-def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and then one comma-separated line per row.
-
-    Floats are rendered by :func:`format_float`, every other field by ``str``.
-    """
+def write_csv(path, header: str, row_format: str, rows: Iterable[tuple]) -> None:
+    """Write ``header`` and then ``row_format % row`` for each row, in one ``write``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(format_float(x) if isinstance(x, float) else str(x) for x in row) + "\n"
-            )
+        fh.write(header + "\n" + "".join(map((row_format + "\n").__mod__, rows)))
 
 
 def write_trace_csv(path, records: Sequence[tuple]) -> None:
-    """Write trace rows as 'step,residual_l1,cancelled,contracted' CSV, one format per row.
-
-    The bytes are :func:`write_csv`'s: ``%.17g`` is :func:`format_float`, ``%d`` is ``str``.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n" + "".join(map("%d,%.17g,%.17g,%.17g\n".__mod__, records)))
+    """Write trace rows (step, residual_l1, cancelled, contracted) as CSV."""
+    write_csv(path, TRACE_HEADER, STEP_ROW, records)

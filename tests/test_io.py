@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from fluidsolve import (
+    EquivalenceReport,
     ParseError,
     SparseColumnMatrix,
     TraceRecord,
-    format_float,
     load_case,
     read_matrix_market,
     read_vector,
     write_trace_csv,
 )
-from fluidsolve.io import TRACE_HEADER, write_csv
+from fluidsolve import cli
+from fluidsolve.cli import EXIT_OK, RunConfig, cancellation_report, main, run_verification
+from fluidsolve.io import write_csv
 from helpers import perfbench_graphs
 
 HEADER = "%%MatrixMarket matrix coordinate real general\n"
@@ -221,6 +223,12 @@ class TestVectorFile:
             read_vector(path)
 
 
+def step_csv(header, rows):
+    """A step-and-three-doubles CSV as ``str`` and ``format(x, ".17g")`` render it."""
+    lines = [",".join([str(int(k))] + [format(float(x), ".17g") for x in rest]) for k, *rest in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
 class TestTraceCsv:
     def test_header_and_full_precision(self, tmp_path):
         records = [
@@ -236,25 +244,48 @@ class TestTraceCsv:
         assert fields[0] == "1"
         assert float(fields[2]) == 1.0 / 3.0  # 17 significant digits round-trip
 
-    def test_trace_writer_writes_the_generic_writers_bytes(self, tmp_path):
+    def test_trace_row_format_on_edge_values(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
         records = [TraceRecord(k, x, values[-1 - k], -x) for k, x in enumerate(values)]
         records += [(np.int64(8), np.float64(0.1), np.float64(-0.0), np.float64(5e-324)),
                     TraceRecord(10**12, 1.0 / 3.0, 2.5e-300, 123456789.0)]
         write_trace_csv(tmp_path / "trace.csv", records)
-        write_csv(tmp_path / "generic.csv", TRACE_HEADER, records)
-        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+        expected = step_csv("step,residual_l1,cancelled,contracted", records)
+        assert (tmp_path / "trace.csv").read_text() == expected
+        lines = expected.splitlines()
+        assert lines[1] == "0,nan,0.10000000000000001,nan"
+        assert lines[4] == "3,-0,4.9406564584124654e-324,0"
 
-    def test_write_csv_formats_by_type(self, tmp_path):
-        path = tmp_path / "reports.csv"
-        write_csv(path, "scheme,steps,max_discrepancy,fraction",
-                  [("PI", 5, 0.1, math.nan), ("case1/GSa", 12, 1.0 / 3.0, 0.0)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "scheme,steps,max_discrepancy,fraction"
-        assert lines[1] == "PI,5,0.10000000000000001,nan"
-        assert lines[2] == f"case1/GSa,12,{format_float(1.0 / 3.0)},0"
-        assert len(lines) == 3
+    def test_verify_csv_format(self, tmp_path, monkeypatch):
+        peaks = {"PI": 0.1, "GSl": math.nan, "Jac": 5e-324, "GSa": 0.0}
 
-    def test_format_float_round_trips(self):
-        for x in [0.1, 1.0 / 3.0, 1e-300, 123456.789, 0.0]:
-            assert float(format_float(x)) == x
+        def report(spec, n_steps):
+            return EquivalenceReport(spec.kind, n_steps, np.float64(peaks[spec.kind]))
+
+        monkeypatch.setattr(cli, "verify_equivalence", report)
+        reports = run_verification(RunConfig(iterations=3), tmp_path / "verify.csv")
+        expected = ["scheme,steps,max_discrepancy"]
+        expected += [f"{r.scheme},{str(int(r.steps))},{format(float(r.max_discrepancy), '.17g')}"
+                     for r in reports]
+        assert len(expected) == 17
+        assert (tmp_path / "verify.csv").read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("name, scheme, seq", [
+        ("case4", "PI", "roundrobin"), ("case1", "GSl", "5,4,3,2,1")])  # the second is all 0/0
+    def test_cancel_report_format(self, tmp_path, name, scheme, seq):
+        args = ["cancel-report", name, "--scheme", scheme, "--steps", "10", "--seq", seq]
+        assert main([*args, "--out", str(tmp_path)]) == EXIT_OK
+        summary = cancellation_report(load_case(name), scheme, 10, seq_spec=seq)
+        text = (tmp_path / f"{name}_{scheme}_cancellation.csv").read_text()
+        assert text == step_csv("step,cancelled,contracted,fraction", summary.per_step)
+        assert any(math.isnan(frac) for *_, frac in summary.per_step) == (scheme == "GSl")
+
+    def test_doubles_round_trip(self, tmp_path):
+        bits = np.random.default_rng(0).integers(0, 2**64, size=2000, dtype=np.uint64)
+        values = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+        values += [0.1, 1.0 / 3.0, 1e-300, 123456.789, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        write_csv(tmp_path / "doubles.csv", "x", "%.17g", [(x,) for x in values])
+        lines = (tmp_path / "doubles.csv").read_text().splitlines()
+        assert lines[0] == "x" and len(lines) == 1 + len(values)
+        for line, x in zip(lines[1:], values):
+            assert float(line).hex() == x.hex()

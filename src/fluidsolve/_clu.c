@@ -4,8 +4,11 @@
  * window contracted, total cancelled, total contracted} and run = {step,
  * delivered, status}, update it in place, and write the trace rows they make,
  * {residual, cancelled, contracted} each, to out, at most cap of them per call.
- * The status is an index of diffusion._STATUS: budget (keep going), converged
- * (an exact l1(F) <= stop_at) or non_finite (an exact l1(F) is inf or NaN).
+ * With a snapshot buffer snap (cap rows of 2n doubles) they also copy F and H,
+ * in that order, to row k of snap when they write row k of out; diffusion._run
+ * passes NULL for none, and lockstep verification passes one. The status is an
+ * index of diffusion._STATUS: budget (keep going), converged (an exact
+ * l1(F) <= stop_at) or non_finite (an exact l1(F) is inf or NaN).
  *
  * fluidsolve_clu_run is the coordinate-level driver. Each step performs the
  * IEEE operations of diffusion._coordinate_step entry by entry, in column
@@ -23,6 +26,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { BUDGET, CONVERGED, NON_FINITE };
 
@@ -70,6 +74,15 @@ static int64_t status_of(double l1, double stop_at)
     return l1 <= stop_at ? CONVERGED : BUDGET;
 }
 
+/* Copy F and H to row k of snap, a buffer of rows of 2n doubles, unless snap is NULL. */
+static void snapshot(double *snap, int64_t k, int64_t n, const double *f, const double *h)
+{
+    if (snap) {
+        memcpy(snap + 2 * n * k, f, n * sizeof *f);
+        memcpy(snap + 2 * n * k + n, h, n * sizeof *h);
+    }
+}
+
 /* Run coordinate-level steps at order[step % period], ... from step run[0].
  *
  * Each stretch runs up to the next window end (a multiple of every), multiple
@@ -77,14 +90,15 @@ static int64_t status_of(double l1, double stop_at)
  * residual is <= stop_at. The exact l1(F), np.abs(F).sum() computed in
  * scratch (n doubles), replaces the running residual then and after every n
  * steps, and only it sets the status. A window end writes a row and zeroes
- * the window sums. Returns the rows written; the run goes on while the status
- * is budget, the step is below max_steps and fewer than cap rows are written.
+ * the window sums, and snapshots F and H. Returns the rows written; the run
+ * goes on while the status is budget, the step is below max_steps and fewer
+ * than cap rows are written.
  */
 int64_t fluidsolve_clu_run(int64_t max_steps, double stop_at, int64_t cap, int64_t every,
                            int64_t period, int64_t n, const int64_t *order,
                            const int64_t *indptr, const int64_t *rows, const double *vals,
                            double *f, double *h, double *scratch, double *acc, int64_t *run,
-                           double *out)
+                           double *out, double *snap)
 {
     double resid = acc[0], win_c = acc[1], win_k = acc[2], total_c = acc[3], total_k = acc[4];
     int64_t step = run[0], count = run[1], status = BUDGET, written = 0;
@@ -137,6 +151,7 @@ int64_t fluidsolve_clu_run(int64_t max_steps, double stop_at, int64_t cap, int64
             status = status_of(resid, stop_at);
         }
         if (step % every == 0) {
+            snapshot(snap, written, n, f, h);
             out[3 * written] = resid;
             out[3 * written + 1] = win_c;
             out[3 * written + 2] = win_k;
@@ -158,14 +173,14 @@ int64_t fluidsolve_clu_run(int64_t max_steps, double stop_at, int64_t cap, int64
 /* Run vector-level steps on the nnz stored entries (rows, cols, vals) from step run[0].
  *
  * acc[0] holds the exact l1(F) before the next step; the window sums are not
- * used. scratch holds 2n doubles. Every step writes a row and sets the status
- * from its exact l1(F). Returns the rows written, under the same conditions as
- * fluidsolve_clu_run.
+ * used. scratch holds 2n doubles. Every step writes a row, snapshots F and H,
+ * and sets the status from its exact l1(F). Returns the rows written, under
+ * the same conditions as fluidsolve_clu_run.
  */
 int64_t fluidsolve_vlu_run(int64_t max_steps, double stop_at, int64_t cap, int64_t n,
                            int64_t nnz, const int64_t *rows, const int64_t *cols,
                            const double *vals, double *f, double *h, double *scratch,
-                           double *acc, int64_t *run, double *out)
+                           double *acc, int64_t *run, double *out, double *snap)
 {
     double *new_f = scratch, *abs_in = scratch + n;
     double before = acc[0], total_c = acc[3], total_k = acc[4];
@@ -198,6 +213,7 @@ int64_t fluidsolve_vlu_run(int64_t max_steps, double stop_at, int64_t cap, int64
         count += nnz;
         total_c += cancelled;
         total_k += contracted;
+        snapshot(snap, written, n, f, h);
         out[3 * written] = new_l1;
         out[3 * written + 1] = cancelled;
         out[3 * written + 2] = contracted;

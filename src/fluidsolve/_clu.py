@@ -3,17 +3,21 @@
 :func:`load` returns a :class:`Kernels` pair of ``bind`` functions, each of
 which ties a run function of ``_clu.c`` to one run's arrays:
 
-* ``clu(order, indptr, rows, vals, f, h, acc, run, every)`` for the
-  coordinate-level driver (``fluidsolve_clu_run`` documents the contract);
-* ``vlu(rows, cols, vals, f, h, acc, run)`` for vector-level steps
+* ``clu(order, indptr, rows, vals, f, h, acc, run, every, snap=None)`` for
+  the coordinate-level driver (``fluidsolve_clu_run`` documents the contract);
+* ``vlu(rows, cols, vals, f, h, acc, run, snap=None)`` for vector-level steps
   (``fluidsolve_vlu_run``).
 
 Each returns ``steps(max_steps, stop_at) -> rows``: one call runs until the
-status is settled, ``max_steps`` is reached or :data:`STRETCH` trace rows are
-written, and returns those rows as [residual, cancelled, contracted] lists,
-while ``acc`` and ``run`` carry the rest of the run's state. A run binds
-once, which checks the arrays once, and a run of up to :data:`STRETCH` rows
-is then one call.
+status is settled, ``max_steps`` is reached or the buffer of rows is full,
+and returns the rows it wrote as a (rows, 3) array of [residual, cancelled,
+contracted], a view of that buffer that the next call overwrites, while
+``acc`` and ``run`` carry the rest of the run's state. The buffer holds
+:data:`STRETCH` rows, or as many as the snapshot buffer ``snap``, a
+C-contiguous (rows, 2, n) float64 array: with one, row k of the call's rows
+comes with F in ``snap[k, 0]`` and H in ``snap[k, 1]`` as they were when the
+kernel wrote it. A run binds once, which checks the arrays once, and a run
+of up to a buffer of rows is then one call.
 
 The C source is compiled on first use with ``cc`` into
 ``$XDG_CACHE_HOME/fluidsolve`` (default ``~/.cache/fluidsolve``), under a
@@ -21,7 +25,7 @@ name keyed by the source and the compiler flags, and loaded with ``ctypes``.
 A missing compiler, a failed build or a cache directory that cannot be
 written makes :func:`load` return None instead; ``diffusion._bind`` then
 picks the engine's own Python steps, which give bitwise the same results
-more slowly.
+and snapshots more slowly.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_clu.c")
 # -ffp-contract=off: a fused multiply-add would change the bits of old + fl*v.
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# Most trace rows one call writes: the size of the buffer they go to.
+# Most trace rows one call writes without a snapshot buffer: the size of the buffer they go to.
 STRETCH = 256
 
 
@@ -53,6 +57,19 @@ def _fit(layout, what: str) -> None:
 def _in_range(index, n: int) -> bool:
     # viewed as unsigned, a negative index wraps to a huge one and fails the same test
     return index.size == 0 or index.view(np.uint64).max() < n
+
+
+def rows_buffer(snap, n: int) -> np.ndarray:
+    """The buffer of rows of a run with snapshot buffer ``snap``: as many rows, or STRETCH without.
+
+    Raises unless ``snap`` is None or a C-contiguous (rows >= 1, 2, n) float64 array.
+    """
+    if snap is None:
+        return np.empty((STRETCH, 3))
+    if (snap.dtype != np.float64 or snap.ndim != 3 or len(snap) < 1 or snap.shape[1:] != (2, n)
+            or not snap.flags.c_contiguous):
+        raise ValueError("the snapshot buffer does not fit the state")
+    return np.empty((len(snap), 3))
 
 
 def _check_clu(order, indptr, rows, vals, f, h, acc, run, every) -> None:
@@ -78,16 +95,15 @@ def _check_vlu(rows, cols, vals, f, h, acc, run) -> None:
         raise ValueError("index out of range for the vector-level kernel")
 
 
-def _steps(fn, sizes, arrays):
-    """``steps(max_steps, stop_at)`` of ``fn`` on ``sizes``, ``arrays`` and a buffer of rows."""
-    out = np.empty((STRETCH, 3))
-    arrays = (*arrays, out)
+def _steps(fn, sizes, arrays, out, snap):
+    """``steps(max_steps, stop_at)`` of ``fn`` on ``sizes``, ``arrays``, ``out`` and ``snap``."""
+    arrays = (*arrays, out, snap)
     # made once: ctypes would convert each Python int argument again on every call
-    ints = map(ctypes.c_int64, (STRETCH, *sizes))
-    args = [*ints, *(ctypes.c_void_p(a.ctypes.data) for a in arrays)]
+    ints = map(ctypes.c_int64, (len(out), *sizes))
+    args = [*ints, *(ctypes.c_void_p(None if a is None else a.ctypes.data) for a in arrays)]
 
     def steps(max_steps, stop_at):
-        return out[:fn(max_steps, stop_at, *args)].tolist()
+        return out[:fn(max_steps, stop_at, *args)]
 
     steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
     return steps
@@ -96,11 +112,12 @@ def _steps(fn, sizes, arrays):
 def _bind_clu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
-    def bind(order, indptr, rows, vals, f, h, acc, run, every):
+    def bind(order, indptr, rows, vals, f, h, acc, run, every, snap=None):
         _check_clu(order, indptr, rows, vals, f, h, acc, run, every)
         scratch = np.empty(f.size)
         return _steps(fn, (every, order.size, f.size),
-                      (order, indptr, rows, vals, f, h, scratch, acc, run))
+                      (order, indptr, rows, vals, f, h, scratch, acc, run),
+                      rows_buffer(snap, f.size), snap)
 
     return bind
 
@@ -108,10 +125,11 @@ def _bind_clu(fn):
 def _bind_vlu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
-    def bind(rows, cols, vals, f, h, acc, run):
+    def bind(rows, cols, vals, f, h, acc, run, snap=None):
         _check_vlu(rows, cols, vals, f, h, acc, run)
         scratch = np.empty(2 * f.size)
-        return _steps(fn, (f.size, rows.size), (rows, cols, vals, f, h, scratch, acc, run))
+        return _steps(fn, (f.size, rows.size), (rows, cols, vals, f, h, scratch, acc, run),
+                      rows_buffer(snap, f.size), snap)
 
     return bind
 
@@ -160,7 +178,7 @@ def load() -> Kernels | None:
         return None
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     clu, vlu = lib.fluidsolve_clu_run, lib.fluidsolve_vlu_run
-    clu.argtypes = [i64, f64, i64, i64, i64, i64, *[ptr] * 10]
-    vlu.argtypes = [i64, f64, i64, i64, i64, *[ptr] * 9]
+    clu.argtypes = [i64, f64, i64, i64, i64, i64, *[ptr] * 11]
+    vlu.argtypes = [i64, f64, i64, i64, i64, *[ptr] * 10]
     clu.restype = vlu.restype = i64
     return Kernels(_bind_clu(clu), _bind_vlu(vlu))

@@ -297,38 +297,40 @@ def run_diffusion(
 
 
 def _bind(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np.ndarray,
-          order: np.ndarray | None = None, every: int = 1):
+          order: np.ndarray | None = None, every: int = 1, snap: np.ndarray | None = None):
     """``steps(max_steps, stop_at) -> rows`` on ``m``, ``state``'s F and H, ``acc`` and ``run``.
 
     Coordinate-level along ``order`` with windows of ``every`` steps, else
     vector-level: the kernels of :mod:`._clu`, or :func:`_python_clu` and
-    :func:`_python_vlu` without a compiler.
+    :func:`_python_vlu` without a compiler. ``snap`` is the optional
+    snapshot buffer of F and H that :mod:`._clu` describes.
     """
     kernels = _clu.load()
     if kernels is None and order is None:
-        return _python_vlu(m, state, acc, run)
+        return _python_vlu(m, state, acc, run, snap)
     if kernels is None:
-        return _python_clu(m, state, order.tolist(), every, acc, run)
+        return _python_clu(m, state, order.tolist(), every, acc, run, snap)
     if order is None:
-        return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h, acc, run)
-    return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, run, every)
+        return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h, acc, run, snap)
+    return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, run, every, snap)
 
 
 def _python_clu(m: SparseColumnMatrix, state: DiffusionState, order: list[int], every: int,
-                acc: np.ndarray, run: np.ndarray):
-    """``fluidsolve_clu_run``'s window loop on :func:`_coordinate_step`, in one call per run.
+                acc: np.ndarray, run: np.ndarray, snap: np.ndarray | None = None):
+    """``fluidsolve_clu_run``'s window loop on :func:`_coordinate_step`.
 
     The per-column tuples, built once per run, halve the cost of a step.
     """
     bounds, rows, vals = m.indptr.tolist(), m.rows.tolist(), m.vals.tolist()
     columns = [tuple(zip(rows[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     f, h, n, period = state.f.data, state.h.data, m.n, len(order)
+    out = _clu.rows_buffer(snap, n)
 
-    def steps(max_steps: int, stop_at: float) -> list:
+    def steps(max_steps: int, stop_at: float) -> np.ndarray:
         resid, win_c, win_k, total_c, total_k = acc.tolist()
-        step, count, status = run.tolist()
-        pos, out = step % period, []
-        while status == 0 and step < max_steps:
+        step, count = run[:2].tolist()
+        pos, status, written = step % period, 0, 0
+        while status == 0 and step < max_steps and written < len(out):
             for _ in range(min(every - step % every, n - step % n, max_steps - step)):
                 i = order[pos]
                 pos = 0 if pos + 1 == period else pos + 1
@@ -354,23 +356,41 @@ def _python_clu(m: SparseColumnMatrix, state: DiffusionState, order: list[int], 
                 resid = state.residual_l1()
                 status = _status(resid, stop_at)
             if step % every == 0:
-                out.append((resid, win_c, win_k))
+                if snap is not None:
+                    snap[written] = state.f, state.h
+                out[written] = resid, win_c, win_k
+                written += 1
                 win_c = win_k = 0.0
         acc[:] = (resid, win_c, win_k, total_c, total_k)
         run[:] = (step, count, status)
-        return out
+        return out[:written]
 
     return steps
 
 
-def _python_vlu(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np.ndarray):
-    """``fluidsolve_vlu_run`` as one :func:`_vector_step` per call."""
+def _python_vlu(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np.ndarray,
+                snap: np.ndarray | None = None):
+    """``fluidsolve_vlu_run``'s loop on :func:`_vector_step`."""
+    out = _clu.rows_buffer(snap, m.n)
 
-    def steps(max_steps: int, stop_at: float) -> list:
-        row = _vector_step(m, state.f, state.h)
-        acc[[0, 3, 4]] = row[0], acc[3] + row[1], acc[4] + row[2]
-        run[:] = (run[0] + 1, run[1] + m.nnz, _status(row[0], stop_at))
-        return [row]
+    def steps(max_steps: int, stop_at: float) -> np.ndarray:
+        resid, total_c, total_k = acc[[0, 3, 4]].tolist()
+        step, count = run[:2].tolist()
+        status = written = 0
+        while status == 0 and step < max_steps and written < len(out):
+            resid, cancelled, contracted = _vector_step(m, state.f, state.h)
+            if snap is not None:
+                snap[written] = state.f, state.h
+            out[written] = resid, cancelled, contracted
+            written += 1
+            step += 1
+            count += m.nnz
+            total_c += cancelled
+            total_k += contracted
+            status = _status(resid, stop_at)
+        acc[[0, 3, 4]] = resid, total_c, total_k
+        run[:] = (step, count, status)
+        return out[:written]
 
     return steps
 
@@ -397,7 +417,7 @@ def _run(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule,
     stop_at = -1.0 if stop.tol is None else stop.tol
     trace, status = state.trace, "budget"
     while status == "budget" and state.step < stop.max_steps:
-        rows = steps(stop.max_steps, stop_at)
+        rows = steps(stop.max_steps, stop_at).tolist()
         # row k is window (or step) k; tuple.__new__ is TraceRecord._make without a Python call
         steps_of = range(len(trace), len(trace) + len(rows))
         trace.extend(map(tuple.__new__, repeat(TraceRecord), zip(steps_of, *zip(*rows))))

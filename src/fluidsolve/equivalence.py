@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._clu import STRETCH
 from .diffusion import DiffusionState, _bind
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector, l1_norm, sigma, uniform_vector
 from .schemes import (LINEAR, RowView, SchemeSpec, _check_sequence, step_gsa, step_gsl,
@@ -223,44 +224,52 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     One vector-level diffusion step pairs with one PI/Jac iteration; one
     coordinate-level step pairs with one Gauss-Seidel coordinate update on
     the same index. Reports the max over steps of l1(x_n - (H_n + offset)),
-    a NaN (an overflowed iterate) included. Never raises on mismatch. Each step
-    is one ``step_*`` call and one call, asked for one more step, of the run
-    function ``run_diffusion`` uses. Both sides are copied into buffers of at
-    most 2**16 doubles, each compared in one reduction with the bits of a
-    per-step ``np.abs(...).sum()``.
+    a NaN (an overflowed iterate) included. Never raises on mismatch. Each
+    reference step is one ``step_*`` call. The twin runs up to
+    min(2**16 // n, STRETCH) steps per call of the run function
+    ``run_diffusion`` uses, which copies F and H after every step into a
+    snapshot buffer; a call that a non-finite status stops early is followed
+    by another. Both sides go into blocks of at most 2**16 doubles, each
+    compared in one reduction with the bits of a per-step ``np.abs(...).sum()``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     equiv = to_diffusion(spec)
     p, n, kind, b = spec.matrix, spec.matrix.n, spec.kind, spec.b
     state = DiffusionState.start(equiv.f0)
-    f, h, x = state.f, state.h, spec.initial_vector()  # every step updates F and H in place
+    f, h, x = state.f, state.h, spec.initial_vector()  # the steps update F, H and x in place
     order = spec.seq.period() if spec.coordinate_level else None
-    twin = _bind(p, state, np.zeros(5), np.zeros(3, dtype=np.int64), order)
-    if order is not None:
-        indices, view = order.tolist(), RowView(p)
     track_pi = kind == "PI"
 
     block = max(1, 2**16 // n)
     xs = np.empty((block + 1, n))  # x_t per row; for PI then x_(t+1) of the last row
     hs = np.empty((block, n))
     fs = np.empty((block, n)) if track_pi else None
+    snaps = np.empty((min(block, STRETCH), 2, n))  # F and H after each step of a twin call
+    twin = _bind(p, state, np.zeros(5), np.zeros(3, dtype=np.int64), order, snap=snaps)
+    if order is not None:
+        indices, view = order.tolist(), RowView(p)
+
+    xs[0], hs[0] = x, h  # row 0 of the first block: the start
+    if track_pi:
+        fs[0] = f
     disc, fluid, hist = [], [], []
     for start in range(0, n_steps + 1, block):
         rows = min(block, n_steps + 1 - start)
-        for j in range(rows):
-            t = start + j
-            if t:
-                twin(t, -1.0)  # one step, whatever the status of the one before
-                if order is not None:
-                    i = indices[(t - 1) % order.size]
-                    x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
-                else:
-                    x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
-            xs[j] = x
-            hs[j] = h
+        first = j = 0 if start else 1  # row j holds step start + j
+        while j < rows:  # k rows per call: fewer than asked when l1(F) is not finite
+            k = len(twin(start + min(rows, j + len(snaps)) - 1, -1.0))
+            hs[j:j + k] = snaps[:k, 1]
             if track_pi:
-                fs[j] = f
+                fs[j:j + k] = snaps[:k, 0]
+            j += k
+        if order is not None:
+            for j in range(first, rows):
+                i = indices[(start + j - 1) % order.size]
+                xs[j] = x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
+        else:
+            for j in range(first, rows):
+                xs[j] = x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
         x_t, h_t = xs[:rows], hs[:rows]
         disc.append(np.abs(x_t - (h_t + equiv.offset)).sum(axis=1).max())
         if track_pi:

@@ -62,8 +62,11 @@ def _strict_loadtxt():
 def read_matrix_market(path) -> SparseColumnMatrix:
     """Parse a square matrix in MatrixMarket coordinate real general format.
 
-    One ``np.loadtxt`` call reads the entries and ``SparseColumnMatrix.from_entries``
-    checks them; only a rejected file is read again, by :func:`_first_bad_entry`.
+    ``np.loadtxt`` reads the entries straight from the open file, blank lines
+    included; only if that read fails, on a comment line or a malformed one, do
+    the entry lines go to a second call without the blank and comment lines.
+    ``SparseColumnMatrix.from_entries`` checks the entries; only a rejected file
+    is read again, by :func:`_first_bad_entry`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lineno, line = 1, fh.readline()
@@ -93,10 +96,14 @@ def read_matrix_market(path) -> SparseColumnMatrix:
         if n <= 0 or nnz < 0:
             raise _fail(path, lineno, "dimensions must be positive")
 
-        # a malformed line, or an entry that from_entries rejects, sends the file to the second read
+        # a malformed line, or an entry that from_entries rejects: _first_bad_entry names it
         with contextlib.suppress(ValueError), _strict_loadtxt():
-            lines = itertools.filterfalse(_SKIPPED.match, fh)
-            i, j, v = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
+            try:
+                i, j, v = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
+            except ValueError:  # a comment line between entries, or a malformed one
+                fh.seek(0)
+                lines = itertools.filterfalse(_SKIPPED.match, itertools.islice(fh, lineno, None))
+                i, j, v = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
             if i.size == nnz:
                 return SparseColumnMatrix.from_entries(n, i - 1, j - 1, v)
     raise _first_bad_entry(path, lineno, n, nnz)

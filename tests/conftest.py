@@ -10,7 +10,7 @@ def clu_path(request, monkeypatch):
     """Runs through the compiled kernel or as without a compiler (None: unchanged).
 
     Without a compiler, runs take the per-step engine's own steps: coordinate-level
-    ones a stretch of _coordinate_step calls, vector-level ones one _vector_step per call.
+    ones _coordinate_step calls, vector-level ones _vector_step calls, in the kernels' loops.
     """
     if request.param == "fallback":
         monkeypatch.setattr(_clu, "load", lambda: None)

@@ -21,7 +21,7 @@ import pytest
 
 from fluidsolve import (BUILTIN_CASES, StoppingRule, UpdateSequence, _clu, l1_norm, load_case,
                         run_diffusion)
-from fluidsolve.cli import RunConfig, run_experiment
+from fluidsolve.cli import RunConfig, run_experiment, run_verification
 from helpers import perfbench_graphs, seeded_link_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,6 +78,8 @@ def test_kernel_matches_fallback_bitwise(every, end):
     ("run", np.zeros(3)),  # wrong dtype for an int64 pointer
     ("every", 0),  # a window of no steps
     ("run", np.array([-1, 0, 0])),  # a negative step, which would index order before its start
+    ("snap", np.zeros((2, 2, 4))),  # snapshots of another n
+    ("snap", np.zeros((0, 2, 3))),  # a snapshot buffer of no rows
 ])
 def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     if _clu.load() is None:
@@ -101,6 +103,8 @@ def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     ("rows", np.array([1, 3, 0])),  # row past n
     ("cols", np.array([0, -1, 2])),  # negative column
     ("acc", np.zeros(3)),  # too short for the run state
+    ("snap", np.zeros((2, 2, 3), dtype=np.float32)),  # wrong dtype for the snapshots
+    ("snap", np.zeros((2, 3, 2))),  # not F and H of n entries
 ])
 def test_vector_kernel_rejects_arrays_that_do_not_fit(name, bad):
     if _clu.load() is None:
@@ -132,6 +136,29 @@ def test_coordinate_level_run_of_up_to_stretch_rows_is_one_call(tmp_path, monkey
     assert len(calls) == 2 * len(BUILTIN_CASES)  # one call per run
 
 
+def test_verify_round_is_one_twin_call_per_report(tmp_path, monkeypatch):
+    kernels = _clu.load()
+    if kernels is None:
+        pytest.skip("no C compiler to build the diffusion kernels")
+    calls = []
+
+    def counted(bind):
+        def bind_counted(*arrays):
+            steps = bind(*arrays)
+            return lambda *args: calls.append(args) or steps(*args)
+
+        return bind_counted
+
+    monkeypatch.setattr(_clu, "load", lambda: _clu.Kernels(counted(kernels.clu),
+                                                           counted(kernels.vlu)))
+    # what one round of the cases benchmark runs
+    cfg = RunConfig(iterations=50, output_dir=tmp_path)
+    reports = run_verification(cfg, tmp_path / "verify.csv")
+    assert len(reports) == 4 * len(BUILTIN_CASES)
+    assert all(r.max_discrepancy <= 1e-10 for r in reports)
+    assert len(calls) == len(reports)  # one call per report; a call per step made 2,400
+
+
 def test_kernel_builds_without_warnings(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH to build the kernel")
@@ -151,6 +178,9 @@ SANITIZED_CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-
 # to the no-compiler path and F and H to the per-step engine, on instances with
 # n from 1 to 300, empty columns, self-loops, explicit orders with repeats, windows
 # of 1, 3 and n steps, runs of more than STRETCH rows and runs that stop on tol.
+# Then it holds both kernels' snapshot buffers, call by call, to the no-compiler
+# path: windows of 1 and 3 steps, calls that fill the buffer exactly, and runs that
+# a non-finite l1(F) stops in the middle of a buffer, each followed by another call.
 SANITIZED = """\
 import os
 import sys
@@ -160,6 +190,7 @@ import numpy as np
 os.environ.pop("LD_PRELOAD", None)  # cc itself runs without the sanitizer runtime
 from fluidsolve import (DiffusionState, SparseColumnMatrix, StoppingRule, UpdateSequence, _clu,
                         diffuse_coordinate, diffuse_vector, l1_norm, run_diffusion)
+from fluidsolve.diffusion import _bind
 
 _clu.CFLAGS = tuple(sys.argv[1:])
 kernels = _clu.load()
@@ -172,10 +203,10 @@ def bits(state, status):
             state.total_contracted.hex(), state.delivered, state.step, status)
 
 
-def no_compiler(*args, **kwargs):
+def no_compiler(fn, *args, **kwargs):
     _clu.load = lambda: None
     try:
-        return run_diffusion(*args, **kwargs)
+        return fn(*args, **kwargs)
     finally:
         _clu.load = lambda: kernels
 
@@ -210,13 +241,53 @@ for n in (1, 2, 7, 8, 9, 64, 129, 300):
             for stop in (StoppingRule(tol=None, max_steps=2 * _clu.STRETCH + 7),  # buffer refills
                          StoppingRule(tol=0.2 * l1_norm(f0), max_steps=50 * n + 600)):  # stops on tol
                 got = run_diffusion(m, f0, seq=seq, stop=stop, every=every)
-                want = no_compiler(m, f0, seq=seq, stop=stop, every=every)
+                want = no_compiler(run_diffusion, m, f0, seq=seq, stop=stop, every=every)
                 assert bits(got.state, got.status) == bits(want.state, want.status), (n, every, stop)
                 ref = engine(m, f0, seq, got.steps)
                 assert got.state.f.tobytes() == ref.f.tobytes(), (n, every, stop)
                 assert got.state.h.tobytes() == ref.h.tobytes(), (n, every, stop)
                 if seq is None:
                     assert bits(got.state, 0)[2:7] == bits(ref, 0)[2:7], (n, stop)
+                runs += 1
+
+
+def hexes(a):  # every double of a by its bits; a NaN's sign and payload do not count
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
+# the rows, snapshots, acc and run after each call of a run bound to a snapshot buffer of cap rows
+def snapshot_calls(m, f0, order, every, cap, max_steps):
+    state = DiffusionState.start(f0)
+    acc, run = np.array([l1_norm(f0), 0.0, 0.0, 0.0, 0.0]), np.zeros(3, dtype=np.int64)
+    snap = np.empty((cap, 2, m.n))  # exactly cap rows, so a row past the cap is out of bounds
+    steps = _bind(m, state, acc, run, order, every, snap)
+    calls = []
+    while run[0] < max_steps:  # a call that a non-finite l1(F) stops early is followed by another
+        rows = steps(max_steps, -1.0)
+        calls.append((hexes(rows), hexes(snap[:len(rows)]), hexes(acc), run.tolist()))
+    return calls, hexes(state.f), hexes(state.h)
+
+
+def signed_instance(n):
+    pos = rng.choice(n * n, size=min(3 * n, n * n), replace=False)
+    m = SparseColumnMatrix.from_entries(n, pos % n, pos // n, rng.uniform(-1, 1, pos.size))
+    return m.scaled(0.6 / m.column_l1_norms().max()), rng.uniform(-1, 1, n)
+
+
+# F overflows within two steps and stays non-finite: every later call stops at its first exact l1(F)
+overflow = SparseColumnMatrix.from_dense([[0.0, 1e300], [1e300, 0.0]]), np.array([0.5, -0.25])
+with np.errstate(over="ignore", invalid="ignore"):
+    for m, f0 in (*map(signed_instance, (1, 7, 64)), overflow):
+        n = m.n
+        order = rng.permutation(np.concatenate((np.arange(n), rng.integers(0, n, n // 2 + 1))))
+        for seq_order, every in ((order, 1), (order, 3), (None, 1)):
+            # 20 steps: calls that fill the buffer exactly; 23: then a part of one
+            for cap, max_steps in ((5, 20), (5, 23), (1, 4)):
+                got = snapshot_calls(m, f0, seq_order, every, cap, max_steps)
+                want = no_compiler(snapshot_calls, m, f0, seq_order, every, cap, max_steps)
+                assert got == want, (n, every, cap, max_steps)
+                if m is overflow[0] and cap > 1:  # a non-finite l1(F) stopped a call mid-buffer
+                    assert any(r[2] == 2 and len(rows) < 3 * cap for rows, _, _, r in got[0]), every
                 runs += 1
 print("ok", runs)
 """

@@ -18,7 +18,7 @@ from fluidsolve import (
     uniform_vector,
 )
 from fluidsolve import _clu
-from fluidsolve.diffusion import _run
+from fluidsolve.diffusion import _bind, _run
 from helpers import (
     engine_clu,
     identity,
@@ -395,6 +395,52 @@ class TestVectorDriver:
         _run(driven, m, StoppingRule(tol=None, max_steps=1))
         assert engine.f is f_engine and driven.f is f_driven
         assert engine.f.tobytes() == driven.f.tobytes() == want.tobytes()
+
+
+class TestSnapshots:
+    """The run functions' snapshots: F and H after each row's step, bitwise the engine's."""
+
+    @pytest.mark.parametrize("kind", ["clu, every 1", "clu, every n", "vlu"])
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 129])
+    def test_match_the_per_step_engine(self, clu_path, n, kind):
+        rng = np.random.default_rng(n)
+        m = random_sparse(rng, n, 0.9)
+        f0 = random_signed_vector(rng, n)  # signed fluid on signed entries: cancellation
+        order = None
+        if kind != "vlu":  # every coordinate once, plus repeats, shuffled
+            order = rng.permutation(np.concatenate((np.arange(n), rng.integers(0, n, n // 2 + 1))))
+        every = n if kind == "clu, every n" else 1
+
+        state = DiffusionState.start(f0)
+        want, exact = [(state.f.copy(), state.h.copy())], [state.residual_l1()]
+        for t in range(4 * n + 8):
+            if order is None:
+                diffuse_vector(state, m)
+            else:
+                diffuse_coordinate(state, m, int(order[t % order.size]))
+            want.append((state.f.copy(), state.h.copy()))
+            exact.append(state.residual_l1())
+        # tol between the l1(F) of two steps, so the run ends on the later one: past two
+        # windows and, for windows of n > 1 steps, in the middle of one
+        end = next(s for s in range(2 * every + 1, len(exact))
+                   if (every == 1 or s % every) and exact[s] < exact[s - 1] * (1.0 - 1e-6))
+        tol = (exact[end] + exact[end - 1]) / 2
+
+        got = DiffusionState.start(f0)
+        acc, run = np.array([exact[0], 0.0, 0.0, 0.0, 0.0]), np.zeros(3, dtype=np.int64)
+        snap = np.empty((3, 2, n))  # a few rows, so the run takes many calls
+        steps = _bind(m, got, acc, run, order, every, snap)
+        while run[2] == 0 and run[0] < len(exact) - 1:
+            before = int(run[0])
+            rows = steps(len(exact) - 1, tol)
+            ends = [s for s in range(before + 1, int(run[0]) + 1) if s % every == 0]
+            assert len(rows) == len(ends) <= len(snap)
+            for k, s in enumerate(ends):
+                assert snap[k, 0].tobytes() == want[s][0].tobytes(), ("F", s)
+                assert snap[k, 1].tobytes() == want[s][1].tobytes(), ("H", s)
+        assert run.tolist()[::2] == [end, 1]  # converged at step end
+        assert got.f.tobytes() == want[end][0].tobytes()
+        assert got.h.tobytes() == want[end][1].tobytes()
 
 
 class TestExactRecord:

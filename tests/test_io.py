@@ -120,6 +120,29 @@ class TestMatrixMarket:
         m = self._read(tmp_path, text)
         np.testing.assert_array_equal(m.to_dense(), [[1.0, 0, 0], [0, 0, 0], [0, 0.5, 0]])
 
+    @pytest.mark.parametrize("between, reads", [(" \n\t\n\n", 1), ("% note\n \n  %\n", 2)])
+    def test_lines_between_entries_give_the_matrix_without_them(self, tmp_path, monkeypatch,
+                                                                 between, reads):
+        # blank lines are read straight from the file; a comment line sends the
+        # entries to a second read without the blank and comment lines
+        path = tmp_path / "g.mtx"
+        perfbench_graphs().make_graph(path, 200, 1)
+        want = read_matrix_market(path)
+        header, size, *entries = path.read_text().splitlines(keepends=True)
+        text = header + size + between + "".join(
+            line + (between if k % 10 == 9 else "") for k, line in enumerate(entries))
+        real_loadtxt, calls = np.loadtxt, []
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(None)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        got = self._read(tmp_path, text)
+        assert len(calls) == reads
+        for name in ("indptr", "rows", "vals"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_tabs_as_separators(self, tmp_path):
         m = self._read(tmp_path, HEADER + "2\t2\t2\n1\t1\t1.0\n \t2 \t1\t 0.5\t\n")
         np.testing.assert_array_equal(m.to_dense(), [[1.0, 0.0], [0.5, 0.0]])

@@ -226,55 +226,50 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     the same index. Reports the max over steps of l1(x_n - (H_n + offset)),
     a NaN (an overflowed iterate) included. Never raises on mismatch. Each
     reference step is one ``step_*`` call. The twin runs up to
-    min(2**16 // n, STRETCH) steps per call of the run function
-    ``run_diffusion`` uses, which copies F and H after every step into a
-    snapshot buffer; a call that a non-finite status stops early is followed
-    by another. Both sides go into blocks of at most 2**16 doubles, each
-    compared in one reduction with the bits of a per-step ``np.abs(...).sum()``.
+    block = max(1, min(2**16 // n, STRETCH)) steps per call of the run
+    function ``run_diffusion`` uses, which writes F and H after each step
+    into rows 1..block of a snapshot buffer whose row 0 holds them before
+    the call; a non-finite status ends a call early. That buffer and the
+    iterates beside it are compared in place, one reduction per check with
+    the bits of a per-step ``np.abs(...).sum()``, and a call's last row is
+    the next call's row 0.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     equiv = to_diffusion(spec)
     p, n, kind, b = spec.matrix, spec.matrix.n, spec.kind, spec.b
     state = DiffusionState.start(equiv.f0)
-    f, h, x = state.f, state.h, spec.initial_vector()  # the steps update F, H and x in place
+    x = spec.initial_vector()  # the Gauss-Seidel steps update x in place
     order = spec.seq.period() if spec.coordinate_level else None
     track_pi = kind == "PI"
 
-    block = max(1, 2**16 // n)
-    xs = np.empty((block + 1, n))  # x_t per row; for PI then x_(t+1) of the last row
-    hs = np.empty((block, n))
-    fs = np.empty((block, n)) if track_pi else None
-    snaps = np.empty((min(block, STRETCH), 2, n))  # F and H after each step of a twin call
-    twin = _bind(p, state, np.zeros(5), np.zeros(3, dtype=np.int64), order, snap=snaps)
+    block = max(1, min(2**16 // n, STRETCH))
+    snaps = np.empty((block + 1, 2, n))  # F and H: row 0 before a twin call, row t after step t
+    xs = np.empty((block + 2, n))  # x per row of snaps; for PI then x one step on
+    twin = _bind(p, state, np.zeros(5), np.zeros(3, dtype=np.int64), order, snap=snaps[1:])
     if order is not None:
         indices, view = order.tolist(), RowView(p)
 
-    xs[0], hs[0] = x, h  # row 0 of the first block: the start
-    if track_pi:
-        fs[0] = f
-    disc, fluid, hist = [], [], []
-    for start in range(0, n_steps + 1, block):
-        rows = min(block, n_steps + 1 - start)
-        first = j = 0 if start else 1  # row j holds step start + j
-        while j < rows:  # k rows per call: fewer than asked when l1(F) is not finite
-            k = len(twin(start + min(rows, j + len(snaps)) - 1, -1.0))
-            hs[j:j + k] = snaps[:k, 1]
-            if track_pi:
-                fs[j:j + k] = snaps[:k, 0]
-            j += k
+    snaps[0], xs[0] = (state.f, state.h), x
+    done, disc, fluid, hist = 0, [], [], []
+    while True:
+        k = len(twin(n_steps, -1.0))  # fewer than block rows when l1(F) is not finite
         if order is not None:
-            for j in range(first, rows):
-                i = indices[(start + j - 1) % order.size]
-                xs[j] = x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
+            for t in range(1, k + 1):
+                i = indices[(done + t - 1) % order.size]
+                xs[t] = x = step_gsl(x, view, i) if b is None else step_gsa(x, view, b, i)
         else:
-            for j in range(first, rows):
-                xs[j] = x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
-        x_t, h_t = xs[:rows], hs[:rows]
+            for t in range(1, k + 1):
+                xs[t] = x = step_pi(x, p) if track_pi else step_jacobi(x, p, b)
+        x_t, h_t = xs[:k + 1], snaps[:k + 1, 1]
         disc.append(np.abs(x_t - (h_t + equiv.offset)).sum(axis=1).max())
         if track_pi:
-            xs[rows] = step_pi(x, p)
-            fluid.append(np.abs(fs[:rows] - (xs[1:rows + 1] - x_t)).sum(axis=1).max())
+            xs[k + 1] = step_pi(x, p)
+            fluid.append(np.abs(snaps[:k + 1, 0] - (xs[1:k + 2] - x_t)).sum(axis=1).max())
             hist.append(np.abs(h_t - (x_t - spec.x0)).sum(axis=1).max())
+        done += k
+        if done == n_steps:
+            break
+        snaps[0], xs[0] = snaps[k], xs[k]  # compared again as row 0, which max ignores
     peaks = [float(np.max(d)) if d else None for d in (disc, fluid, hist)]  # keeps a NaN
     return EquivalenceReport(kind, n_steps, *peaks)

@@ -164,6 +164,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="no schemes selected"):
             RunConfig(schemes=(), output_dir=tmp_path)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"iterations": 0}, "iterations must be >= 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"sample_every": 0}, "sample_every must be >= 1"),
+    ])
+    def test_out_of_range_setting_rejected(self, tmp_path, setting, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(output_dir=tmp_path, **setting)
+
     def test_solution_reconstruction(self, case1_result):
         from fluidsolve import dense_solve_oracle
 
@@ -204,6 +213,43 @@ class TestRunCustom:
             run_custom(mm, RunConfig(output_dir=tmp_path), b_path=b)
 
 
+class TestCustomX0:
+    """``fluidsolve custom --x0`` on a seeded 50-node graph."""
+
+    N = 50
+
+    @pytest.fixture(scope="class")
+    def graph(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("graph") / "g.mtx"
+        perfbench_graphs().make_graph(path, self.N, 1)
+        return path
+
+    def _custom(self, graph, out, *extra):
+        return main(["custom", "--matrix", str(graph), "--out", str(out), *extra])
+
+    def test_uniform_x0_gives_the_default_output(self, graph, tmp_path):
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(f"{1 / self.N!r}\n" * self.N)
+        default, given = tmp_path / "default", tmp_path / "x0"
+        assert self._custom(graph, default) == EXIT_OK
+        assert self._custom(graph, given, "--x0", str(x0)) == EXIT_OK
+        names = sorted(p.name for p in default.iterdir())
+        assert names == sorted(p.name for p in given.iterdir())
+        assert len(names) == 5  # a trace per scheme and the plot script
+        for name in names:
+            assert (default / name).read_bytes() == (given / name).read_bytes(), name
+
+    @pytest.mark.parametrize("entries, message", [
+        (["0.02"] * 49, "x0 has 49 entries but the matrix is 50x50"),
+        (["1.0"] * 50, "decomposition needs sigma(x0) = 1"),
+    ])
+    def test_bad_x0_exits_2(self, graph, tmp_path, capsys, entries, message):
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("\n".join(entries) + "\n")
+        assert self._custom(graph, tmp_path / "out", "--x0", str(x0)) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
 class TestCancellationReport:
     def test_jacobi_never_cancels(self):
         summary = cancellation_report(load_case("case1"), "Jac", 30)
@@ -226,6 +272,10 @@ class TestCancellationReport:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             cancellation_report(load_case("case1"), "SOR", 5)
+
+    def test_no_steps(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            cancellation_report(load_case("case1"), "PI", 0)
 
 
 class TestVerificationSuite:

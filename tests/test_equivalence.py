@@ -22,6 +22,8 @@ from fluidsolve import (
     uniform_vector,
     verify_equivalence,
 )
+from fluidsolve._clu import STRETCH
+from fluidsolve.cli import RunConfig, run_verification
 from fluidsolve.equivalence import diffusion_form
 from helpers import (
     identity,
@@ -169,6 +171,10 @@ class TestPagerankMatrix:
         with pytest.raises(ValueError, match="refusing"):
             pagerank_matrix(big, 0.85)
 
+    def test_rejects_bad_damping(self, case1):
+        with pytest.raises(ValueError, match="damping"):
+            pagerank_matrix(case1.q, 1.0)
+
 
 class TestDenseSolveOracle:
     def test_zero_matrix_returns_b(self):
@@ -220,6 +226,8 @@ class TestVerifyEquivalence:
                      SchemeSpec("GSa", p_full, b=e, seq=seq)):
             report = verify_equivalence(spec, 0)
             assert (report.steps, report.max_discrepancy) == (0, 0.0)
+        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+            verify_equivalence(SchemeSpec("PI", p_full, x0=uniform_vector(5)), -1)
 
     @pytest.mark.parametrize("kind", ["PI", "GSl", "Jac", "GSa"])
     def test_random_instances(self, kind):
@@ -257,15 +265,16 @@ class TestVerifyMatchesReference:
         else:  # every coordinate, then repeats, shuffled
             idx = np.concatenate([np.arange(n), rng.integers(0, n, n // 2 + 1)])
             seq = UpdateSequence.explicit(n, rng.permutation(idx))
-        block = 2**16 // n  # steps the implementation compares at once
+        # steps per twin call: each call's snapshot buffer is compared in place, and its
+        # last row starts the next call's, so every run below carries at least one row over
+        block = max(1, min(2**16 // n, STRETCH))
         for kind in ("PI", "GSl", "Jac", "GSa"):
             v = random_signed_vector(rng, n)
             if kind in ("PI", "GSl"):
                 spec = SchemeSpec(kind, m, x0=v, seq=seq if kind == "GSl" else None)
             else:
                 spec = SchemeSpec(kind, m, b=v, seq=seq if kind == "GSa" else None)
-            # several blocks where that stays cheap: GS at n >= 129, PI/Jac at n = 300
-            steps = 4 * n if spec.coordinate_level else (block + 3 if n == 300 else 40)
+            steps = max(4 * n if spec.coordinate_level else 40, block + 3)
             got = verify_equivalence(spec, steps)
             want = verify_reference(spec, steps)
             assert math.isfinite(want.max_discrepancy)
@@ -315,6 +324,22 @@ class TestVerifyMatchesReference:
             tracemalloc.stop()
         assert report.max_discrepancy <= 1e-10
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_verify_round_memory_is_bounded_by_the_block(self, clu_path, tmp_path):
+        # one round of the cases benchmark: 16 reports at n = 5, each run on a handful of
+        # arrays of (STRETCH + 2) x n doubles; blocks of 2**16 doubles took 1.5 MB
+        cfg = RunConfig(iterations=50, output_dir=tmp_path)
+        run_verification(cfg, tmp_path / "verify.csv")  # build the kernel outside the measurement
+        tracemalloc.start()
+        try:
+            reports = run_verification(cfg, tmp_path / "verify.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.max_discrepancy <= 1e-10 for r in reports)
+        # 16 such arrays, plus 64 KB for what the round holds at any block size (about 25 KB)
+        bound = 16 * (STRETCH + 2) * 5 * 8 + 2**16
+        assert peak < bound, f"peak {peak / 2**10:.0f} KB, bound {bound / 2**10:.0f} KB"
 
 
 def test_fixed_point_agreement_across_schemes():

@@ -57,6 +57,17 @@ class TestMatrixMarket:
         with pytest.raises(ParseError, match="missing size line"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("size, message", [
+        ("2 2 2 x", "size line must be 'rows cols nnz'"),
+        ("2 x 2", "non-integer size line '2 x 2'"),
+        ("2 2 -1", "dimensions must be positive"),
+    ])
+    def test_bad_size_line_reports_line(self, tmp_path, size, message):
+        path = tmp_path / "size.mtx"
+        path.write_text(f"{HEADER}% c\n{size}\n1 1 1.0\n")
+        with pytest.raises(ParseError, match=rf"size.mtx:3: {message}"):
+            read_matrix_market(path)
+
     def test_non_square(self, tmp_path):
         path = tmp_path / "rect.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n")

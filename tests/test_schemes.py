@@ -154,6 +154,8 @@ class TestSchemeSpec:
         m, b = affine_case1
         with pytest.raises(ValueError, match="starts from zero"):
             SchemeSpec("Jac", m, b=b, x0=uniform_vector(5))
+        with pytest.raises(ValueError, match="Jac needs an affine term b"):
+            SchemeSpec("Jac", m)
         # an explicit zero start is fine
         SchemeSpec("GSa", m, b=b, x0=np.zeros(5), seq=UpdateSequence.round_robin(5))
 
@@ -169,6 +171,8 @@ class TestSchemeSpec:
             SchemeSpec("GSl", p_full, x0=uniform_vector(5))
         with pytest.raises(ValueError, match="update sequence"):
             SchemeSpec("GSa", m, b=b)
+        with pytest.raises(ValueError, match="sequence dimension 4 != matrix dimension 5"):
+            SchemeSpec("GSl", p_full, x0=uniform_vector(5), seq=UpdateSequence.round_robin(4))
 
     def test_unknown_kind(self, p_full):
         with pytest.raises(ValueError, match="unknown scheme"):

@@ -41,6 +41,14 @@ trace rows a buffer at a time; without a compiler it runs the engine's own
 steps, :func:`_coordinate_step` and :func:`_vector_step`, in the same loops.
 A coordinate-level run keeps one trace row per window of steps.
 
+A trace is one float64 array of [step, residual_l1, cancelled, contracted]
+rows, 32 bytes a row once a run ends, read back as :class:`TraceRecord`
+items. A windowed run's trace grows by 32 bytes per window, and an
+``every=1`` run's by 32 bytes per step. The run functions' buffers of rows
+are copied into that array whole and numbered on from its row count, so row
+k of a run is step (or window) k; a row the engine records carries
+``state.step``.
+
 The state and every row the engine records hold the exact l1(F), that is
 ``np.abs(F).sum()`` after the step. Only the coordinate-level driver, the
 kernel's window loop, keeps a running residual, as a local between exact
@@ -55,8 +63,10 @@ by one driver, while independent runs may share read-only matrices freely.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +95,82 @@ class TraceRecord(NamedTuple):
     contracted: float
 
 
+_ITER_ROWS = 4096  # rows converted at a time while iterating a trace: a record is ~150 bytes
+
+
+def _records(block: np.ndarray):
+    """The :class:`TraceRecord` items of a (k, 4) block of trace rows."""
+    # tuple.__new__ is TraceRecord._make without a Python call per row
+    return map(tuple.__new__, repeat(TraceRecord),
+               zip(block[:, 0].astype(np.int64).tolist(), *block[:, 1:].T.tolist()))
+
+
+class _Trace(Sequence):
+    """A state's trace: row k is ``TraceRecord(*rows[k])``, built on access.
+
+    The rows [step, residual_l1, cancelled, contracted] live in one float64
+    array that grows by doubling, 32 bytes a row once :meth:`trim` drops the
+    spare capacity; a step is exact in a double up to 2**53. Indexing,
+    negative indexing and iteration give :class:`TraceRecord` items; a slice
+    gives a list of them.
+    """
+
+    __slots__ = ("_buf", "_len")
+
+    def __init__(self):
+        self._buf = np.empty((16, 4))
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(_records(self.rows[k]))
+        k = operator.index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("trace row out of range")
+        return next(_records(self._buf[k:k + 1]))
+
+    def __iter__(self):
+        rows = self.rows
+        return chain.from_iterable(_records(rows[lo:lo + _ITER_ROWS])
+                                   for lo in range(0, len(rows), _ITER_ROWS))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (len, 4) array of rows, a view that the next append may leave behind."""
+        return self._buf[:self._len]
+
+    def _reserve(self, count: int) -> int:
+        """Make room for ``count`` more rows; return the index of the first."""
+        start = self._len
+        if start + count > len(self._buf):
+            grown = np.empty((max(2 * len(self._buf), start + count), 4))
+            grown[:start] = self._buf[:start]
+            self._buf = grown
+        self._len = start + count
+        return start
+
+    def append(self, step: int, residual_l1: float, cancelled: float, contracted: float) -> None:
+        k = self._reserve(1)  # before self._buf is read: it may replace the buffer
+        self._buf[k] = step, residual_l1, cancelled, contracted
+
+    def extend(self, values: np.ndarray) -> None:
+        """Append a (k, 3) array of [residual_l1, cancelled, contracted] rows as steps len, len + 1, ..."""
+        start = self._reserve(len(values))
+        block = self._buf[start:self._len]
+        block[:, 0] = np.arange(start, self._len)
+        block[:, 1:] = values
+
+    def trim(self) -> None:
+        """Drop the spare capacity."""
+        if self._len < len(self._buf):
+            self._buf = self._buf[:self._len].copy()
+
+
 @dataclass(eq=False, slots=True)
 class DiffusionState:
     """Paired fluid vectors (F, H) with a step counter, trace rows and loss totals.
@@ -101,7 +187,7 @@ class DiffusionState:
     h: np.ndarray
     f0: np.ndarray
     step: int = 0
-    trace: list[TraceRecord] = field(default_factory=list)
+    trace: _Trace = field(default_factory=_Trace)
     total_cancelled: float = 0.0
     total_contracted: float = 0.0
     delivered: int = 0
@@ -111,14 +197,14 @@ class DiffusionState:
         """Fresh state with F = f0 and H = 0; records the step-0 trace row."""
         f0 = as_vector(f0).copy()
         state = cls(f0.copy(), np.zeros_like(f0), f0)
-        state.trace.append(TraceRecord(0, state.residual_l1(), 0.0, 0.0))
+        state.trace.append(0, state.residual_l1(), 0.0, 0.0)
         return state
 
     def record(self, residual_l1: float, cancelled: float, contracted: float) -> None:
-        """Append the row of the current step and add its losses to the totals."""
+        """Append the row of step ``self.step`` and add its losses to the totals."""
         self.total_cancelled += cancelled
         self.total_contracted += contracted
-        self.trace.append(TraceRecord(self.step, residual_l1, cancelled, contracted))
+        self.trace.append(self.step, residual_l1, cancelled, contracted)
 
     @property
     def n(self) -> int:
@@ -138,7 +224,12 @@ def _clamp(x: float) -> float:
 
 
 def diffuse_coordinate(state: DiffusionState, m: SparseColumnMatrix, i: int) -> DiffusionState:
-    """One coordinate-level update at source ``i``; mutates and returns state."""
+    """One coordinate-level update at source ``i``; mutates and returns state.
+
+    The row it records carries the step count ``state.step``. On a state that a
+    windowed :func:`run_diffusion` left, whose rows are numbered by window,
+    that number is not the row's index.
+    """
     f = state.f
     if m.n != f.shape[0]:
         raise ValueError(f"matrix dimension {m.n} != state dimension {f.shape[0]}")
@@ -182,7 +273,7 @@ def _coordinate_step(f, h, i: int, column):
 
 
 def diffuse_vector(state: DiffusionState, m: SparseColumnMatrix) -> DiffusionState:
-    """One vector-level update; mutates and returns state."""
+    """One vector-level update; mutates and returns state (its row carries ``state.step``)."""
     f = state.f
     if m.n != f.shape[0]:
         raise ValueError(f"matrix dimension {m.n} != state dimension {f.shape[0]}")
@@ -248,7 +339,7 @@ class DiffusionRun:
         return self.status == "converged"
 
     @property
-    def trace(self) -> list[TraceRecord]:
+    def trace(self) -> Sequence[TraceRecord]:
         return self.state.trace
 
     @property
@@ -403,31 +494,30 @@ def _run(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule,
     else vector-level with a row per step; rows are numbered on from those
     ``state`` holds. Each call updates F, H, the running residual, the
     window sums, the totals, the step and the nonzeros delivered in place,
-    and returns a buffer of rows, appended here in step order. F, H, every
+    and returns a buffer of rows, copied here into the trace in one slice
+    assignment; the trace is trimmed to its length at the end. F, H, every
     loss and every exact residual are bitwise the per-step engine's (see
     ``_clu.c``). The running residual follows l1(F) - |fl| + sum|delta| -
     cancelled, the engine's update in exact arithmetic; a stretch stops once
     it reaches tol, and it is replaced by the exact ``np.abs(F).sum()`` then
     and every n steps. Only an exact value ends the run.
     """
-    acc = np.array([state.trace[-1].residual_l1, 0.0, 0.0, state.total_cancelled,
-                    state.total_contracted])
+    trace = state.trace
+    acc = np.array([trace.rows[-1, 1], 0.0, 0.0, state.total_cancelled, state.total_contracted])
     run = np.array([state.step, state.delivered, 0], dtype=np.int64)
     steps = _bind(m, state, acc, run, order, every)
     stop_at = -1.0 if stop.tol is None else stop.tol
-    trace, status = state.trace, "budget"
+    status = "budget"
     while status == "budget" and state.step < stop.max_steps:
-        rows = steps(stop.max_steps, stop_at).tolist()
-        # row k is window (or step) k; tuple.__new__ is TraceRecord._make without a Python call
-        steps_of = range(len(trace), len(trace) + len(rows))
-        trace.extend(map(tuple.__new__, repeat(TraceRecord), zip(steps_of, *zip(*rows))))
+        trace.extend(steps(stop.max_steps, stop_at))
         state.step, state.delivered, code = run.tolist()
         status = _STATUS[code]
+    trace.trim()
     state.total_cancelled, state.total_contracted = acc[3:].tolist()
     return status
 
 
-def aggregate_sweeps(trace: list[TraceRecord], every: int) -> list[TraceRecord]:
+def aggregate_sweeps(trace: Sequence[TraceRecord], every: int) -> list[TraceRecord]:
     """Downsample a per-step trace to every ``every``-th step.
 
     Row k reports the residual after k*every steps with cancelled/contracted

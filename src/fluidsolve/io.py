@@ -5,7 +5,10 @@ coordinate real general", 1-based indices, blank and comment lines anywhere
 after the header); vectors as plain text, one real per line. Non-finite values
 (NaN, inf) are rejected at parse time. Every CSV the package writes goes through
 :func:`write_csv`, one ``%`` row format per file: ``%.17g`` for a double (17 significant
-digits, enough to round-trip it), ``%d`` for a step or count, ``%s`` for a name.
+digits, enough to round-trip it), ``%d`` for a step or count, ``%s`` for a name. Rows are
+formatted and written :data:`CSV_CHUNK` at a time, one ``write`` per chunk, and iterating
+a run's trace builds its records from its float64 array a few thousand at a time, so the
+memory a CSV takes while it is written does not grow with its row count.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
 
 TRACE_HEADER = "step,residual_l1,cancelled,contracted"
 STEP_ROW = "%d,%.17g,%.17g,%.17g"  # a step and three doubles: trace and cancel-report rows
+CSV_CHUNK = 2**14  # rows formatted into one string and written at a time
 _SKIPPED = re.compile(r"\s*(?:%|$)")  # matches a blank or comment line
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
@@ -185,9 +189,13 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_csv(path, header: str, row_format: str, rows: Iterable[tuple]) -> None:
-    """Write ``header`` and then ``row_format % row`` for each row, in one ``write``."""
+    """Write ``header`` and then ``row_format % row`` for each row, one ``write`` per chunk."""
+    fmt, rows = (row_format + "\n").__mod__, iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n" + "".join(map((row_format + "\n").__mod__, rows)))
+        chunk = header + "\n" + "".join(map(fmt, itertools.islice(rows, CSV_CHUNK)))
+        while chunk:
+            fh.write(chunk)
+            chunk = "".join(map(fmt, itertools.islice(rows, CSV_CHUNK)))
 
 
 def write_trace_csv(path, records: Sequence[tuple]) -> None:

@@ -30,9 +30,17 @@ __all__ = [
 MAX_N = 3_037_000_499
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_vector(values, n: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a 1-D float64 array, optionally checking its length."""
-    v = np.asarray(values, dtype=np.float64)
+    """Coerce ``values`` to a 1-D float64 array, optionally checking its length.
+
+    A float64 ``ndarray`` comes back as it is, without a call into ``np.asarray``.
+    """
+    v = values
+    if type(v) is not np.ndarray or v.dtype is not _FLOAT64:
+        v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:

@@ -54,7 +54,7 @@ class RowView:
         if not 0 <= i < self.n:
             raise ValueError(f"row {i} out of range for dimension {self.n}")
         cols, vals = self._rows[i]
-        return float(vals @ x[cols])
+        return float(vals.dot(x[cols]))  # the ddot of ``@``, with less dispatch
 
 
 def _check_sequence(kind: str, seq: UpdateSequence | None) -> None:

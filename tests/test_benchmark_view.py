@@ -54,6 +54,10 @@ def test_benchmark_cases_repetition_runs(tmp_path):
     runs = json.loads((tmp_path / "result.json").read_text())["runs"]
     assert {run["scheme"] for run in runs} == {"PI", "GSl", "Jac", "GSa"}
     assert all(run["clu"] == (run["scheme"] in ("GSl", "GSa")) for run in runs)
+    # trace_rows is len(run.trace), which the traced metrics add up: one per data row of the CSV
+    for run in runs:
+        data_rows = Path(run["csv"]).read_text().count("\n") - 1
+        assert run["trace_rows"] == data_rows, run
 
 
 def test_traced_verify_counts_every_gauss_seidel_reference_step(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -7,6 +9,7 @@ from fluidsolve import (
     DiffusionState,
     SparseColumnMatrix,
     StoppingRule,
+    TraceRecord,
     UpdateSequence,
     aggregate_sweeps,
     dense_solve_oracle,
@@ -18,7 +21,7 @@ from fluidsolve import (
     uniform_vector,
 )
 from fluidsolve import _clu
-from fluidsolve.diffusion import _bind, _run
+from fluidsolve.diffusion import _bind, _run, _Trace
 from helpers import (
     engine_clu,
     identity,
@@ -573,10 +576,96 @@ class TestInvariants:
             assert l1_norm(state.f) <= before + 1e-12
 
 
+class TestTraceStorage:
+    """A run's trace is one float64 array of rows, read back as TraceRecord items."""
+
+    @staticmethod
+    def bits(records):
+        return [(r.step, r.residual_l1.hex(), r.cancelled.hex(), r.contracted.hex())
+                for r in records]
+
+    @pytest.mark.parametrize("coordinate", [True, False])
+    def test_items_slices_and_iteration_match_the_per_step_engine(self, clu_path, coordinate):
+        # more rows than a kernel buffer and _Trace's first array; coordinate-level rows are
+        # windows of n steps, whose residual is the exact one
+        n, rows = 20, 2 * _clu.STRETCH + 45
+        m = seeded_link_matrix(n, 3).scaled(0.85)
+        f0 = random_signed_vector(np.random.default_rng(5), n)
+        seq, every = (UpdateSequence.round_robin(n), n) if coordinate else (None, 1)
+        stop = StoppingRule(tol=None, max_steps=rows * every)
+        run = run_diffusion(m, f0, seq, stop, every)
+        if coordinate:
+            engine, exact = engine_clu(m, f0, seq, stop.max_steps)
+            assert engine.trace.rows[:, 1].tolist() == exact  # record stores what it is given
+            want = aggregate_sweeps(engine.trace, n)
+        else:
+            engine = DiffusionState.start(f0)
+            for _ in range(rows):
+                diffuse_vector(engine, m)
+            # the engine's rows, read without _Trace's accessors; its steps are state.step
+            want = [TraceRecord(int(step), *row) for step, *row in engine.trace.rows.tolist()]
+        trace = run.trace
+        assert len(trace) == len(want) == rows + 1
+        assert self.bits(trace) == self.bits(want)
+        for k in (0, 1, rows, -1, -2, -(rows + 1)):
+            assert self.bits([trace[k]]) == self.bits([want[k]]), k
+            assert type(trace[k]) is TraceRecord and type(trace[k].step) is int
+        for cut in (slice(1, None), slice(None, 5), slice(-3, None), slice(10, 2, -3),
+                    slice(None, None, -1), slice(rows, rows + 9), slice(7, 3)):
+            assert self.bits(trace[cut]) == self.bits(want[cut]), cut
+        for k in (rows + 1, -(rows + 2)):
+            with pytest.raises(IndexError):
+                trace[k]
+
+    def test_rows_grow_past_the_first_array_and_trim(self):
+        # append keeps the step it is given; extend numbers its rows on from the row count
+        trace = _Trace()
+        for k in range(40):
+            trace.append(10 * k, float(k), -0.0, 5e-324)
+        trace.extend(np.full((3, 3), np.inf))
+        assert len(trace) == 43 and trace.rows.base.shape == (64, 4)  # 16 rows, doubled twice
+        trace.trim()
+        assert trace.rows.base.shape == (43, 4)
+        assert self.bits(trace[38:41]) == self.bits([TraceRecord(380, 38.0, -0.0, 5e-324),
+                                                     TraceRecord(390, 39.0, -0.0, 5e-324),
+                                                     TraceRecord(40, np.inf, np.inf, np.inf)])
+
+    @pytest.mark.parametrize("hand_step", [lambda state, m: diffuse_coordinate(state, m, 2),
+                                           diffuse_vector], ids=["coordinate", "vector"])
+    def test_hand_steps_record_the_state_step(self, clu_path, hand_step):
+        # a windowed run numbers its rows by window; a hand step after it records state.step
+        n = 10
+        m, f0 = seeded_link_matrix(n, 2).scaled(0.85), uniform_vector(n)
+        run = run_diffusion(m, f0, UpdateSequence.round_robin(n), StoppingRule(tol=None, max_steps=5 * n), n)
+        hand_step(run.state, m)
+        assert [r.step for r in run.trace] == [0, 1, 2, 3, 4, 5, 5 * n + 1]
+        assert run.trace[-1].residual_l1 == run.state.residual_l1()
+        # a state built at step 7 records step 8 as its first row
+        built = DiffusionState(f0.copy(), np.zeros(n), f0, step=7)
+        hand_step(built, m)
+        assert [r.step for r in built.trace] == [8]
+
+    def test_finished_run_keeps_32_bytes_a_row(self, clu_path):
+        # windows of one coordinate step on the seeded n=200 graph; TraceRecord objects took
+        # about 190 bytes a row. The rows arrive (STRETCH + 1) * 2**k at a time after the first,
+        # so the last buffer just overflows an array of that size: untrimmed, it would double.
+        n, steps = 200, (_clu.STRETCH + 1) * 2**8
+        m, seq = seeded_link_matrix(n, 1).scaled(0.85), UpdateSequence.round_robin(n)
+        f0 = 0.15 * uniform_vector(n)
+        run_diffusion(m, f0, seq, StoppingRule(tol=None, max_steps=10))  # build the kernel first
+        tracemalloc.start()
+        try:
+            run = run_diffusion(m, f0, seq, StoppingRule(tol=None, max_steps=steps))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(run.trace) == steps + 1
+        bound = 32 * len(run.trace) + 2**16  # the state's vectors and objects take about 30 KB
+        assert kept < bound, f"kept {kept} B, bound {bound} B"
+
+
 class TestAggregateSweeps:
     def test_windows_and_row0(self):
-        from fluidsolve import TraceRecord
-
         trace = [TraceRecord(0, 1.0, 0.0, 0.0)]
         for k in range(1, 8):
             trace.append(TraceRecord(k, 1.0 / (k + 1), 0.1 * k, 0.01 * k))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,16 +9,21 @@ from fluidsolve import (
     EquivalenceReport,
     ParseError,
     SparseColumnMatrix,
+    StoppingRule,
     TraceRecord,
+    UpdateSequence,
     load_case,
     read_matrix_market,
     read_vector,
+    run_diffusion,
+    uniform_vector,
     write_trace_csv,
 )
 from fluidsolve import cli
 from fluidsolve.cli import EXIT_OK, RunConfig, cancellation_report, main, run_verification
-from fluidsolve.io import write_csv
-from helpers import perfbench_graphs
+from fluidsolve.diffusion import _Trace
+from fluidsolve.io import CSV_CHUNK, STEP_ROW, TRACE_HEADER, write_csv
+from helpers import perfbench_graphs, seeded_link_matrix
 
 HEADER = "%%MatrixMarket matrix coordinate real general\n"
 CASE1_MM = """%%MatrixMarket matrix coordinate real general
@@ -289,6 +295,33 @@ class TestTraceCsv:
         lines = expected.splitlines()
         assert lines[1] == "0,nan,0.10000000000000001,nan"
         assert lines[4] == "3,-0,4.9406564584124654e-324,0"
+
+    @pytest.mark.parametrize("count", [1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
+    def test_trace_array_bytes_across_chunks(self, tmp_path, count):
+        edges = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0]
+        rows = np.array(edges * (3 * count // len(edges) + 1))[:3 * count].reshape(count, 3)
+        trace = _Trace()
+        trace.extend(rows)
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        want = "".join(STEP_ROW % (k, *row) + "\n" for k, row in enumerate(rows.tolist()))
+        assert (tmp_path / "trace.csv").read_bytes() == (TRACE_HEADER + "\n" + want).encode()
+
+    def test_trace_writing_memory_does_not_grow_with_rows(self, clu_path, tmp_path):
+        # 100,000 rows; the whole text and its row strings took about 16 MB
+        n, steps = 200, 100_000
+        m, seq = seeded_link_matrix(n, 1).scaled(0.85), UpdateSequence.round_robin(n)
+        run = run_diffusion(m, 0.15 * uniform_vector(n), seq, StoppingRule(tol=None, max_steps=steps))
+        tracemalloc.start()
+        try:
+            write_trace_csv(tmp_path / "trace.csv", run.trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.trace) == steps + 1
+        # a chunk's row strings, text and encoded bytes and 4,096 records: about 260 bytes a row
+        bound = 400 * CSV_CHUNK
+        assert peak < bound, f"peak {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
+        assert (tmp_path / "trace.csv").read_text().count("\n") == steps + 2
 
     def test_verify_csv_format(self, tmp_path, monkeypatch):
         peaks = {"PI": 0.1, "GSl": math.nan, "Jac": 5e-324, "GSa": 0.0}

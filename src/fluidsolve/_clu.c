@@ -1,11 +1,13 @@
 /* Diffusion runs in C: the loops of fluidsolve.diffusion._run.
  *
- * Both functions take a run's state as acc = {residual, window cancelled,
- * window contracted, total cancelled, total contracted} and run = {step,
- * delivered, status}, update it in place, and write the trace rows they make,
- * {residual, cancelled, contracted} each, to out, at most cap of them per call.
- * With a snapshot buffer snap (cap rows of 2n doubles) they also copy F and H,
- * in that order, to row k of snap when they write row k of out; diffusion._run
+ * Both functions take a matrix as its columns: column j holds the stored
+ * entries indptr[j] to indptr[j + 1] - 1 of rows and vals, sorted by row. They
+ * take a run's state as acc = {residual, window cancelled, window contracted,
+ * total cancelled, total contracted} and run = {step, delivered, status},
+ * update it in place, and write the trace rows they make, {residual,
+ * cancelled, contracted} each, to out, at most cap of them per call. With a
+ * snapshot buffer snap (cap rows of 2n doubles) they also copy F and H, in
+ * that order, to row k of snap when they write row k of out; diffusion._run
  * passes NULL for none, and lockstep verification passes one. The status is an
  * index of diffusion._STATUS: budget (keep going), converged (an exact
  * l1(F) <= stop_at) or non_finite (an exact l1(F) is inf or NaN).
@@ -170,7 +172,7 @@ int64_t fluidsolve_clu_run(int64_t max_steps, double stop_at, int64_t cap, int64
     return written;
 }
 
-/* Run vector-level steps on the nnz stored entries (rows, cols, vals) from step run[0].
+/* Run vector-level steps on the columns (indptr, rows, vals) from step run[0].
  *
  * acc[0] holds the exact l1(F) before the next step; the window sums are not
  * used. scratch holds 2n doubles. Every step writes a row, snapshots F and H,
@@ -178,9 +180,9 @@ int64_t fluidsolve_clu_run(int64_t max_steps, double stop_at, int64_t cap, int64
  * the same conditions as fluidsolve_clu_run.
  */
 int64_t fluidsolve_vlu_run(int64_t max_steps, double stop_at, int64_t cap, int64_t n,
-                           int64_t nnz, const int64_t *rows, const int64_t *cols,
-                           const double *vals, double *f, double *h, double *scratch,
-                           double *acc, int64_t *run, double *out, double *snap)
+                           const int64_t *indptr, const int64_t *rows, const double *vals,
+                           double *f, double *h, double *scratch, double *acc, int64_t *run,
+                           double *out, double *snap)
 {
     double *new_f = scratch, *abs_in = scratch + n;
     double before = acc[0], total_c = acc[3], total_k = acc[4];
@@ -191,11 +193,14 @@ int64_t fluidsolve_vlu_run(int64_t max_steps, double stop_at, int64_t cap, int64
             new_f[i] = 0.0;
             abs_in[i] = 0.0;
         }
-        /* np.bincount's loop, for the signed and the absolute contributions */
-        for (int64_t p = 0; p < nnz; p++) {
-            double pe = vals[p] * f[cols[p]];
-            new_f[rows[p]] += pe;
-            abs_in[rows[p]] += fabs(pe);
+        /* np.bincount's loop in stored order, for the signed and the absolute contributions */
+        for (int64_t j = 0; j < n; j++) {
+            double fj = f[j];
+            for (int64_t p = indptr[j]; p < indptr[j + 1]; p++) {
+                double pe = vals[p] * fj;
+                new_f[rows[p]] += pe;
+                abs_in[rows[p]] += fabs(pe);
+            }
         }
         for (int64_t i = 0; i < n; i++) {
             f[i] = new_f[i];
@@ -210,7 +215,7 @@ int64_t fluidsolve_vlu_run(int64_t max_steps, double stop_at, int64_t cap, int64
         if (contracted <= 0.0) /* not fmax(0, .): a NaN must stay NaN */
             contracted = 0.0;
         step++;
-        count += nnz;
+        count += indptr[n];
         total_c += cancelled;
         total_k += contracted;
         snapshot(snap, written, n, f, h);

@@ -5,8 +5,8 @@ which ties a run function of ``_clu.c`` to one run's arrays:
 
 * ``clu(order, indptr, rows, vals, f, h, acc, run, every, snap=None)`` for
   the coordinate-level driver (``fluidsolve_clu_run`` documents the contract);
-* ``vlu(rows, cols, vals, f, h, acc, run, snap=None)`` for vector-level steps
-  (``fluidsolve_vlu_run``).
+* ``vlu(indptr, rows, vals, f, h, acc, run, snap=None)`` for vector-level steps
+  (``fluidsolve_vlu_run``); both take column j as ``rows``/``vals[indptr[j]:indptr[j+1]]``.
 
 Each returns ``steps(max_steps, stop_at) -> rows``: one call runs until the
 status is settled, ``max_steps`` is reached or the buffer of rows is full,
@@ -72,27 +72,14 @@ def rows_buffer(snap, n: int) -> np.ndarray:
     return np.empty((len(snap), 3))
 
 
-def _check_clu(order, indptr, rows, vals, f, h, acc, run, every) -> None:
-    """Raise unless the arguments are what ``fluidsolve_clu_run``'s pointers assume."""
+def _check(kind, indptr, rows, vals, f, h, acc, run) -> None:
+    """Raise unless the column arrays and the run state are what ``kind``'s pointers assume."""
     n = f.size
-    _fit(((order, np.int64, order.size), (indptr, np.int64, n + 1), (rows, np.int64, rows.size),
-          (vals, np.float64, rows.size), (f, np.float64, n), (h, np.float64, n),
-          (acc, np.float64, 5), (run, np.int64, 3)), "coordinate-level")
-    if (order.size == 0 or indptr[0] != 0 or indptr[-1] != rows.size
-            or (indptr[1:] < indptr[:-1]).any()):
-        raise ValueError("empty update order, or indptr does not delimit the stored entries")
-    if not (_in_range(order, n) and _in_range(rows, n)) or every < 1 or run[0] < 0:
-        raise ValueError("index, window or step out of range for the coordinate-level kernel")
-
-
-def _check_vlu(rows, cols, vals, f, h, acc, run) -> None:
-    """Raise unless the arrays are what ``fluidsolve_vlu_run``'s pointers assume."""
-    n = f.size
-    _fit(((rows, np.int64, rows.size), (cols, np.int64, rows.size), (vals, np.float64, rows.size),
-          (f, np.float64, n), (h, np.float64, n), (acc, np.float64, 5), (run, np.int64, 3)),
-         "vector-level")
-    if not (_in_range(rows, n) and _in_range(cols, n)):
-        raise ValueError("index out of range for the vector-level kernel")
+    _fit(((indptr, np.int64, n + 1), (rows, np.int64, rows.size), (vals, np.float64, rows.size),
+          (f, np.float64, n), (h, np.float64, n), (acc, np.float64, 5), (run, np.int64, 3)), kind)
+    if (indptr[0] != 0 or indptr[-1] != rows.size or (indptr[1:] < indptr[:-1]).any()
+            or not _in_range(rows, n)):
+        raise ValueError(f"the column arrays do not fit the {kind} kernel")
 
 
 def _steps(fn, sizes, arrays, out, snap):
@@ -113,7 +100,10 @@ def _bind_clu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
     def bind(order, indptr, rows, vals, f, h, acc, run, every, snap=None):
-        _check_clu(order, indptr, rows, vals, f, h, acc, run, every)
+        _check("coordinate-level", indptr, rows, vals, f, h, acc, run)
+        _fit(((order, np.int64, order.size),), "coordinate-level")
+        if order.size == 0 or not _in_range(order, f.size) or every < 1 or run[0] < 0:
+            raise ValueError("empty update order, or index, window or step out of range")
         scratch = np.empty(f.size)
         return _steps(fn, (every, order.size, f.size),
                       (order, indptr, rows, vals, f, h, scratch, acc, run),
@@ -125,10 +115,10 @@ def _bind_clu(fn):
 def _bind_vlu(fn):
     """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
 
-    def bind(rows, cols, vals, f, h, acc, run, snap=None):
-        _check_vlu(rows, cols, vals, f, h, acc, run)
+    def bind(indptr, rows, vals, f, h, acc, run, snap=None):
+        _check("vector-level", indptr, rows, vals, f, h, acc, run)
         scratch = np.empty(2 * f.size)
-        return _steps(fn, (f.size, rows.size), (rows, cols, vals, f, h, scratch, acc, run),
+        return _steps(fn, (f.size,), (indptr, rows, vals, f, h, scratch, acc, run),
                       rows_buffer(snap, f.size), snap)
 
     return bind
@@ -179,6 +169,6 @@ def load() -> Kernels | None:
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     clu, vlu = lib.fluidsolve_clu_run, lib.fluidsolve_vlu_run
     clu.argtypes = [i64, f64, i64, i64, i64, i64, *[ptr] * 11]
-    vlu.argtypes = [i64, f64, i64, i64, i64, *[ptr] * 10]
+    vlu.argtypes = [i64, f64, i64, i64, *[ptr] * 10]
     clu.restype = vlu.restype = i64
     return Kernels(_bind_clu(clu), _bind_vlu(vlu))

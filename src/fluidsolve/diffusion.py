@@ -290,7 +290,7 @@ def _vector_step(m: SparseColumnMatrix, f: np.ndarray, h: np.ndarray):
     h += f
     # Scale every stored entry by the fluid at its column, then fold the
     # incoming contributions per target row.
-    per_entry = m.vals * f[m.cols]
+    per_entry = m.vals * np.repeat(f, np.diff(m.indptr))
     new_f = np.bincount(m.rows, weights=per_entry, minlength=m.n)
     abs_in = np.bincount(m.rows, weights=np.abs(per_entry), minlength=m.n)
     abs_new = np.abs(new_f)
@@ -402,7 +402,7 @@ def _bind(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np
     if kernels is None:
         return _python_clu(m, state, order.tolist(), every, acc, run, snap)
     if order is None:
-        return kernels.vlu(m.rows, m.cols, m.vals, state.f, state.h, acc, run, snap)
+        return kernels.vlu(m.indptr, m.rows, m.vals, state.f, state.h, acc, run, snap)
     return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, run, every, snap)
 
 

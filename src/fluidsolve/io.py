@@ -103,13 +103,15 @@ def read_matrix_market(path) -> SparseColumnMatrix:
         # a malformed line, or an entry that from_entries rejects: _first_bad_entry names it
         with contextlib.suppress(ValueError), _strict_loadtxt():
             try:
-                i, j, v = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
+                entries = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1)
             except ValueError:  # a comment line between entries, or a malformed one
                 fh.seek(0)
                 lines = itertools.filterfalse(_SKIPPED.match, itertools.islice(fh, lineno, None))
-                i, j, v = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1, unpack=True)
-            if i.size == nnz:
-                return SparseColumnMatrix.from_entries(n, i - 1, j - 1, v)
+                entries = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+            if entries.size == nnz:
+                i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"].copy()
+                del entries  # only the contiguous 0-based fields live on into the build
+                return SparseColumnMatrix.from_entries(n, i, j, v)
     raise _first_bad_entry(path, lineno, n, nnz)
 
 

@@ -66,24 +66,23 @@ def uniform_vector(n: int) -> np.ndarray:
 
 
 class SparseColumnMatrix:
-    """Square real matrix stored by columns (compressed sparse column layout).
+    """Square real matrix stored by columns: ``indptr``, ``rows`` and ``vals``, nothing else.
 
-    Within each column entries are sorted by row, duplicate rows are
-    rejected, and exact zeros are dropped at construction, so nnz-based
-    cost and mass accounting are exact. Column orientation is deliberate:
+    Column j holds the stored entries ``indptr[j]:indptr[j + 1]``, sorted by row;
+    duplicate rows are rejected and exact zeros are dropped at construction, so
+    nnz-based cost and mass accounting are exact. Column orientation is deliberate:
     the coordinate-level diffusion step distributes fluid from one source
     coordinate along a single column in O(nnz(column)).
 
     All arithmetic is 64-bit floating point.
     """
 
-    __slots__ = ("n", "indptr", "rows", "cols", "vals")
+    __slots__ = ("n", "indptr", "rows", "vals")
 
-    def __init__(self, n: int, indptr, rows, cols, vals):
+    def __init__(self, n: int, indptr, rows, vals):
         self.n = int(n)
         self.indptr = indptr
         self.rows = rows
-        self.cols = cols  # flat column index of every stored entry (entries are column-sorted)
         self.vals = vals
 
     @classmethod
@@ -112,20 +111,22 @@ class SparseColumnMatrix:
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"entry ({r[k]}, {c[k]}) outside the {n}x{n} matrix")
-        r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
-        # one stable sort on the column-major position gives lexsort's order, and it is
-        # fast on input already sorted by column
-        order = np.argsort(c * n + r, kind="stable")
-        r, c, v = r[order], c[order], v[order]
-        dup = (np.diff(c) == 0) & (np.diff(r) == 0)
-        if dup.any():  # a stored zero counts: the position is given twice
-            k = int(np.flatnonzero(dup)[0])
-            raise ValueError(f"duplicate entry at (row {r[k]}, col {c[k]})")
+        key = c.astype(np.int64)  # the column-major position c*n + r, built in place
+        key *= n
+        key += r.astype(np.int64, copy=False)
+        order = np.argsort(key, kind="stable")  # lexsort's order, fast on column-sorted input
+        key = key[order]  # one gather at a time: the unsorted key goes before v's copy
+        v = v[order]
+        del order
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:  # a stored zero counts: the position is given twice
+            col, row = divmod(int(key[dup[0]]), n)
+            raise ValueError(f"duplicate entry at (row {row}, col {col})")
         keep = v != 0.0
         if not keep.all():
-            r, c, v = r[keep], c[keep], v[keep]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(c, minlength=n))))
-        return cls(n, indptr, r, c, v)
+            key, v = key[keep], v[keep]
+        indptr = np.searchsorted(key, np.arange(0, n * n + 1, n))  # column j's keys: [j*n, j*n+n)
+        return cls(n, indptr, np.remainder(key, n, out=key), v)
 
     @classmethod
     def from_dense(cls, a) -> "SparseColumnMatrix":
@@ -153,6 +154,11 @@ class SparseColumnMatrix:
     def col_nnz(self, j: int) -> int:
         return self.column(j)[0].size
 
+    @property
+    def cols(self) -> np.ndarray:
+        """The column of every stored entry, in stored order (a fresh array)."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
     def column_l1_norms(self) -> np.ndarray:
         """All column absolute sums (a fresh array)."""
         return np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.n)
@@ -160,19 +166,18 @@ class SparseColumnMatrix:
     def matvec(self, v) -> np.ndarray:
         """Matrix-vector product: every stored entry scaled by its column's v_j."""
         v = as_vector(v, self.n)
-        per_entry = self.vals * v[self.cols]
+        per_entry = self.vals * np.repeat(v, np.diff(self.indptr))
         return np.bincount(self.rows, weights=per_entry, minlength=self.n)
 
     def scaled(self, factor: float) -> "SparseColumnMatrix":
         """``factor`` times this matrix; only the values are new.
 
-        The result shares this matrix's ``indptr``, ``rows`` and ``cols`` arrays, which
-        no matrix ever mutates. A zero factor gives the zero matrix (zeros are not stored).
+        The result shares this matrix's ``indptr`` and ``rows`` arrays, which no matrix
+        ever mutates. A zero factor gives the zero matrix (zeros are not stored).
         """
         if factor == 0.0:
             return SparseColumnMatrix.zero(self.n)
-        return SparseColumnMatrix(self.n, self.indptr, self.rows, self.cols,
-                                  self.vals * float(factor))
+        return SparseColumnMatrix(self.n, self.indptr, self.rows, self.vals * float(factor))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))

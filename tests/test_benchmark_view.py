@@ -5,7 +5,8 @@
 in a fresh interpreter fails as soon as one of those names is deleted or
 renamed. ``perfbench/child.py`` also reads attributes of the results and
 calls the verify and cancel-report functions with fixed arguments, so one
-untraced repetition of the cases workload guards the rest of that view.
+untraced repetition of each workload, the cases and a seeded graph, guards the
+rest of that view.
 """
 
 import json
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import perfbench_graphs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,18 +49,31 @@ def test_traced_read_counts_every_entry_into_the_build(tmp_path):
     assert counters["io.read_matrix_market.nnz"] == 4
 
 
-def test_benchmark_cases_repetition_runs(tmp_path):
+def _repetition(tmp_path: Path, *source: str) -> list[dict]:
+    """The runs of one untraced ``perfbench/child.py`` repetition, as the benchmark reads them."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    command = [sys.executable, "perfbench/child.py", "--cases", "--result", str(tmp_path)]
+    command = [sys.executable, "perfbench/child.py", *source, "--result", str(tmp_path)]
     proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads((tmp_path / "result.json").read_text())["runs"]
     assert {run["scheme"] for run in runs} == {"PI", "GSl", "Jac", "GSa"}
     assert all(run["clu"] == (run["scheme"] in ("GSl", "GSa")) for run in runs)
+    assert all(run["converged"] for run in runs)
     # trace_rows is len(run.trace), which the traced metrics add up: one per data row of the CSV
     for run in runs:
         data_rows = Path(run["csv"]).read_text().count("\n") - 1
         assert run["trace_rows"] == data_rows, run
+    return runs
+
+
+def test_benchmark_cases_repetition_runs(tmp_path):
+    _repetition(tmp_path, "--cases")
+
+
+def test_benchmark_graph_repetition_runs(tmp_path):
+    graphs = perfbench_graphs()
+    graphs.write_matrix_market(tmp_path / "graph.mtx", 200, *graphs.link_matrix(200, 1))
+    assert len(_repetition(tmp_path, "--matrix", str(tmp_path / "graph.mtx"))) == 4
 
 
 def test_traced_verify_counts_every_gauss_seidel_reference_step(tmp_path):

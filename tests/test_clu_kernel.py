@@ -97,21 +97,25 @@ def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
 
 @pytest.mark.parametrize("name, bad", [
     ("vals", np.ones(3, dtype=np.float32)),  # wrong dtype for a double pointer
-    ("cols", np.array([0, 1, 2], dtype=np.int32)),  # wrong dtype for an int64 pointer
+    ("indptr", np.array([0, 1, 2, 3], dtype=np.int32)),  # wrong dtype for an int64 pointer
     ("h", np.zeros(4)),  # wrong length
-    ("cols", np.array([0, 1])),  # shorter than the stored entries
+    ("rows", np.array([1, 2])),  # shorter than the stored entries
     ("rows", np.array([1, 3, 0])),  # row past n
-    ("cols", np.array([0, -1, 2])),  # negative column
+    ("rows", np.array([1, -1, 0])),  # negative row
     ("acc", np.zeros(3)),  # too short for the run state
     ("snap", np.zeros((2, 2, 3), dtype=np.float32)),  # wrong dtype for the snapshots
     ("snap", np.zeros((2, 3, 2))),  # not F and H of n entries
+    ("indptr", np.array([0, 1, 3])),  # not n + 1 column bounds
+    ("indptr", np.array([1, 1, 2, 3])),  # first column bound not 0
+    ("indptr", np.array([0, 1, 2, 2])),  # last column bound not nnz
+    ("indptr", np.array([0, 2, 1, 3])),  # decreasing column bounds
 ])
 def test_vector_kernel_rejects_arrays_that_do_not_fit(name, bad):
     if _clu.load() is None:
         pytest.skip("no C compiler to build the vector-level kernel")
     bind = _clu.load().vlu
-    arrays = dict(rows=np.array([1, 2, 0]), cols=np.arange(3), vals=np.full(3, 0.5), f=np.ones(3),
-                  h=np.zeros(3), acc=np.zeros(5), run=np.zeros(3, dtype=np.int64))
+    arrays = dict(indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]), vals=np.full(3, 0.5),
+                  f=np.ones(3), h=np.zeros(3), acc=np.zeros(5), run=np.zeros(3, dtype=np.int64))
     # one call runs at most STRETCH steps, the rows its buffer holds
     assert len(bind(**arrays)(_clu.STRETCH + 1, -1.0)) == _clu.STRETCH
     with pytest.raises(ValueError):
@@ -181,6 +185,7 @@ SANITIZED_CFLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-
 # Then it holds both kernels' snapshot buffers, call by call, to the no-compiler
 # path: windows of 1 and 3 steps, calls that fill the buffer exactly, and runs that
 # a non-finite l1(F) stops in the middle of a buffer, each followed by another call.
+# Last, it holds vector-level runs on no stored entries, n = 1 and empty columns alone.
 SANITIZED = """\
 import os
 import sys
@@ -222,6 +227,17 @@ def engine(m, f0, seq, steps):
     return state
 
 
+def differential(m, f0, seq, every, stop):
+    got = run_diffusion(m, f0, seq=seq, stop=stop, every=every)
+    want = no_compiler(run_diffusion, m, f0, seq=seq, stop=stop, every=every)
+    assert bits(got.state, got.status) == bits(want.state, want.status), (m, every, stop)
+    ref = engine(m, f0, seq, got.steps)
+    assert got.state.f.tobytes() == ref.f.tobytes(), (m, every, stop)
+    assert got.state.h.tobytes() == ref.h.tobytes(), (m, every, stop)
+    if seq is None:
+        assert bits(got.state, 0)[2:7] == bits(ref, 0)[2:7], (m, stop)
+
+
 rng = np.random.default_rng(5)
 runs = 0
 for n in (1, 2, 7, 8, 9, 64, 129, 300):
@@ -240,14 +256,7 @@ for n in (1, 2, 7, 8, 9, 64, 129, 300):
         for every in ((1, 3, n) if seq is not None else (1,)):
             for stop in (StoppingRule(tol=None, max_steps=2 * _clu.STRETCH + 7),  # buffer refills
                          StoppingRule(tol=0.2 * l1_norm(f0), max_steps=50 * n + 600)):  # stops on tol
-                got = run_diffusion(m, f0, seq=seq, stop=stop, every=every)
-                want = no_compiler(run_diffusion, m, f0, seq=seq, stop=stop, every=every)
-                assert bits(got.state, got.status) == bits(want.state, want.status), (n, every, stop)
-                ref = engine(m, f0, seq, got.steps)
-                assert got.state.f.tobytes() == ref.f.tobytes(), (n, every, stop)
-                assert got.state.h.tobytes() == ref.h.tobytes(), (n, every, stop)
-                if seq is None:
-                    assert bits(got.state, 0)[2:7] == bits(ref, 0)[2:7], (n, stop)
+                differential(m, f0, seq, every, stop)
                 runs += 1
 
 
@@ -289,6 +298,15 @@ with np.errstate(over="ignore", invalid="ignore"):
                 if m is overflow[0] and cap > 1:  # a non-finite l1(F) stopped a call mid-buffer
                     assert any(r[2] == 2 and len(rows) < 3 * cap for rows, _, _, r in got[0]), every
                 runs += 1
+
+# vector-level runs on no stored entries, on n = 1 and on columns all but one of them empty
+for m in (SparseColumnMatrix.zero(1), SparseColumnMatrix.zero(5), SparseColumnMatrix.from_dense([[0.5]]),
+          SparseColumnMatrix.from_dense([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.5, 0.0]])):
+    f0 = rng.uniform(-1, 1, m.n)
+    for stop in (StoppingRule(tol=None, max_steps=_clu.STRETCH + 3),
+                 StoppingRule(tol=0.2 * l1_norm(f0), max_steps=600)):
+        differential(m, f0, None, 1, stop)
+        runs += 1
 print("ok", runs)
 """
 

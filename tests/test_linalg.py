@@ -17,6 +17,7 @@ from fluidsolve import (
 from helpers import (
     dense_matvec,
     identity,
+    perfbench_graphs,
     random_signed_vector,
     random_substochastic,
     seeded_link_matrix,
@@ -177,8 +178,9 @@ class TestSparseColumnMatrix:
         m = q.scaled(0.85)
         np.testing.assert_allclose(m.to_dense(), 0.85 * q.to_dense(), rtol=0, atol=0)
         assert q.scaled(0.0).nnz == 0
-        for name in ("indptr", "rows", "cols"):  # shared with the source, not copied
+        for name in ("indptr", "rows"):  # shared with the source, not copied
             assert np.shares_memory(getattr(m, name), getattr(q, name)), name
+        np.testing.assert_array_equal(m.cols, q.cols)  # derived from the shared indptr
         assert not np.shares_memory(m.vals, q.vals)
         np.testing.assert_array_equal(q.vals, vals)
         np.testing.assert_array_equal(m.vals, 0.85 * vals)
@@ -194,9 +196,22 @@ class TestSparseColumnMatrix:
         finally:
             tracemalloc.stop()
         assert m.nnz == q.nnz == 16000
-        # one float64 per stored entry, plus the object itself; a copy of rows or
-        # cols alone would add another 128,000 bytes
+        # one float64 per stored entry, plus the object itself; a copy of indptr or
+        # rows would add another 16,008 or 128,000 bytes
         assert q.vals.nbytes <= allocated < q.vals.nbytes + 4096
+
+    def test_matrix_keeps_only_its_column_arrays(self):
+        rows, cols, vals = perfbench_graphs().link_matrix(2000, 1)
+        SparseColumnMatrix.from_entries(2000, rows, cols, vals)  # first-call costs stay out
+        tracemalloc.start()
+        try:
+            m = SparseColumnMatrix.from_entries(2000, rows, cols, vals)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # rows and vals, 8 bytes each a nonzero, and indptr, 8 bytes a column, plus the
+        # objects; a stored column index would add another 8 bytes a nonzero
+        assert kept <= 16 * m.nnz + 8 * m.n + 4096, f"{kept / m.nnz:.2f} bytes a nonzero"
 
 
 class TestVectorHelpers:

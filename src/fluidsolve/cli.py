@@ -192,15 +192,10 @@ def run_custom(matrix_path, cfg: RunConfig, b_path=None, x0_path=None,
                d: float = DEFAULT_DAMPING, name: str | None = None) -> ExperimentResult:
     """run_experiment on a user-supplied MatrixMarket Q (+ optional vectors)."""
     q = read_matrix_market(matrix_path)
-    b = x0 = None
-    if b_path is not None:
-        b = read_vector(b_path)
-        if b.shape[0] != q.n:
-            raise ValueError(f"b has {b.shape[0]} entries but the matrix is {q.n}x{q.n}")
-    if x0_path is not None:
-        x0 = read_vector(x0_path)
-        if x0.shape[0] != q.n:
-            raise ValueError(f"x0 has {x0.shape[0]} entries but the matrix is {q.n}x{q.n}")
+    b, x0 = (None if path is None else read_vector(path) for path in (b_path, x0_path))
+    for label, v in (("b", b), ("x0", x0)):
+        if v is not None and v.shape[0] != q.n:
+            raise ValueError(f"{label} has {v.shape[0]} entries but the matrix is {q.n}x{q.n}")
     case = CaseDefinition(name=name or Path(matrix_path).stem, q=q, d=d)
     return run_experiment(case, cfg, b=b, x0=x0)
 

@@ -290,7 +290,7 @@ def _vector_step(m: SparseColumnMatrix, f: np.ndarray, h: np.ndarray):
     h += f
     # Scale every stored entry by the fluid at its column, then fold the
     # incoming contributions per target row.
-    per_entry = m.vals * np.repeat(f, np.diff(m.indptr))
+    per_entry = m.vals * m._per_entry(f)
     new_f = np.bincount(m.rows, weights=per_entry, minlength=m.n)
     abs_in = np.bincount(m.rows, weights=np.abs(per_entry), minlength=m.n)
     abs_new = np.abs(new_f)

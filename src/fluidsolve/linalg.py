@@ -154,10 +154,14 @@ class SparseColumnMatrix:
     def col_nnz(self, j: int) -> int:
         return self.column(j)[0].size
 
+    def _per_entry(self, v: np.ndarray) -> np.ndarray:
+        """``v[j]`` once for each stored entry of column j, in stored order (a fresh array)."""
+        return v.repeat(self.indptr[1:] - self.indptr[:-1])
+
     @property
     def cols(self) -> np.ndarray:
         """The column of every stored entry, in stored order (a fresh array)."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return self._per_entry(np.arange(self.n))
 
     def column_l1_norms(self) -> np.ndarray:
         """All column absolute sums (a fresh array)."""
@@ -166,7 +170,7 @@ class SparseColumnMatrix:
     def matvec(self, v) -> np.ndarray:
         """Matrix-vector product: every stored entry scaled by its column's v_j."""
         v = as_vector(v, self.n)
-        per_entry = self.vals * np.repeat(v, np.diff(self.indptr))
+        per_entry = self.vals * self._per_entry(v)
         return np.bincount(self.rows, weights=per_entry, minlength=self.n)
 
     def scaled(self, factor: float) -> "SparseColumnMatrix":

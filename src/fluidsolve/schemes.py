@@ -7,8 +7,8 @@ Four schemes over a square operator P:
 * Jac  -- Jacobi,               x <- P x + b,      from 0
 * GSa  -- Gauss-Seidel (affine) x[i] <- (P x)[i] + b[i], from 0
 
-The vector-level steps (PI, Jac) return a new vector. The Gauss-Seidel steps
-(GSl, GSa) read P's rows through a :class:`RowView` and update x in place.
+The vector-level steps (PI, Jac) return a new vector. The Gauss-Seidel steps (GSl,
+GSa) update x in place, reading P's rows as the columns of its :class:`RowView`.
 """
 
 from __future__ import annotations
@@ -35,25 +35,24 @@ COORDINATE = ("GSl", "GSa")  # update one coordinate at a time, along a sequence
 
 
 class RowView:
-    """Row-oriented companion of a column matrix, for single-row dot products.
-
+    """The rows of a matrix m as its transpose, a :class:`SparseColumnMatrix` in which
+    column i holds row i's stored entries (explicit zeros too) in m's stored order.
     Built once per scheme run so each Gauss-Seidel update costs O(nnz(row)).
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "transpose")
 
     def __init__(self, m: SparseColumnMatrix):
         self.n = m.n
         order = np.argsort(m.rows, kind="stable")
-        bounds = np.cumsum(np.bincount(m.rows, minlength=m.n))[:-1]
-        # (cols, vals) of each row, in stored order
-        self._rows = list(zip(np.split(m.cols[order], bounds), np.split(m.vals[order], bounds)))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(m.rows, minlength=m.n))))
+        self.transpose = SparseColumnMatrix(m.n, indptr, m.cols[order], m.vals[order])
 
     def row_dot(self, i: int, x: np.ndarray) -> float:
-        """(m @ x)[i]."""
+        """(m @ x)[i]: column i of the transpose dotted with x."""
         if not 0 <= i < self.n:
             raise ValueError(f"row {i} out of range for dimension {self.n}")
-        cols, vals = self._rows[i]
+        cols, vals = self.transpose.column(i)
         return float(vals.dot(x[cols]))  # the ddot of ``@``, with less dispatch
 
 

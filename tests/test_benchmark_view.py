@@ -77,12 +77,14 @@ def test_benchmark_graph_repetition_runs(tmp_path):
 
 
 def test_traced_verify_counts_every_gauss_seidel_reference_step(tmp_path):
-    # schemes.step.calls tallies verify's textbook steps: 4 cases x 2 schemes x 2 sweeps x 5
-    code = ("import fluidsolve.cli as cli; from pathlib import Path; out = Path(sys.argv[1]); "
+    # schemes.step.calls tallies verify's textbook steps: 4 cases x 2 schemes x 2 sweeps x 5;
+    # schemes.RowView.calls its row views, one per case and Gauss-Seidel scheme
+    names = ("schemes.step", "schemes.RowView")
+    code = ("import json, fluidsolve.cli as cli; from pathlib import Path; out = Path(sys.argv[1]); "
             "cfg = cli.RunConfig(schemes=('GSl', 'GSa'), iterations=2, output_dir=out); "
             "cli.run_verification(cfg, out / 'verify.csv'); "
-            "print(rec.totals().get('schemes.step', {}).get('calls', 0))")
-    assert int(_traced(code, str(tmp_path)).stdout) == 80
+            f"print(json.dumps([rec.totals().get(k, {{}}).get('calls', 0) for k in {names!r}]))")
+    assert json.loads(_traced(code, str(tmp_path)).stdout) == [80, 8]
 
 
 def test_traced_cancel_report_records_the_layers_of_a_run():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from fluidsolve import (
     step_pi,
     uniform_vector,
 )
-from helpers import identity, random_signed_vector, random_substochastic, run_scheme
+from helpers import (
+    identity,
+    random_signed_vector,
+    random_substochastic,
+    run_scheme,
+    seeded_link_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +153,79 @@ class TestSteps:
         with pytest.raises(ValueError, match="length 5"):
             step_gsa(np.zeros(5), view, np.zeros(6), 0)
         for i in (-1, 5):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=f"row {i} out of range for dimension 5"):
                 step_gsa(np.zeros(5), view, np.zeros(5), i)
+
+
+def reference_rows(m: SparseColumnMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row's (cols, vals) in m's stored order, read one column at a time."""
+    rows = [([], []) for _ in range(m.n)]
+    for j in range(m.n):
+        for r, v in zip(*m.column(j)):
+            rows[r][0].append(j)
+            rows[r][1].append(v)
+    return [(np.array(c, dtype=np.int64), np.array(v, dtype=np.float64)) for c, v in rows]
+
+
+def signed_matrix_with_gaps(rng: np.random.Generator, n: int) -> SparseColumnMatrix:
+    """Random signed n x n matrix with a stored zero and, for n > 1, an empty row and column."""
+    dense = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+    i, j = rng.integers(0, n, 2)
+    dense[i, j] = 5e-324  # scaled by 0.5 it underflows to a stored zero
+    if n > 1:
+        dense[(i + 1) % n] = 0.0
+        dense[:, (j + 1) % n] = 0.0
+    return SparseColumnMatrix.from_dense(dense).scaled(0.5)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestRowView:
+    """A RowView is its matrix's transpose: one SparseColumnMatrix, rows as columns."""
+
+    @pytest.mark.parametrize("n", [1, 5, 37])
+    def test_row_dot_matches_per_row_reference_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        m = signed_matrix_with_gaps(rng, n)
+        assert np.count_nonzero(m.vals) == m.nnz - 1
+        view = RowView(m)
+        assert isinstance(view.transpose, SparseColumnMatrix)
+        assert view.transpose.nnz == m.nnz  # every stored entry, the zero too
+        np.testing.assert_array_equal(view.transpose.to_dense(), m.to_dense().T)
+        rows = reference_rows(m)
+        for x in (random_signed_vector(rng, n), rng.uniform(-1e3, 1e3, n)):
+            got = [view.row_dot(i, x) for i in range(n)]
+            want = [float(vals.dot(x[cols])) for cols, vals in rows]
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_stored_zero_times_inf_is_nan(self):
+        m = SparseColumnMatrix.from_entries(3, np.array([0, 1, 1]), np.array([2, 0, 2]),
+                                            [5e-324, 0.25, 0.5]).scaled(0.5)
+        assert m.nnz == 3 and np.count_nonzero(m.vals) == 2  # an underflowed entry stays stored
+        view = RowView(m)
+        x = np.array([1.0, 2.0, np.inf])
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got = [view.row_dot(i, x) for i in range(3)]
+            want = [float(vals.dot(x[cols])) for cols, vals in reference_rows(m)]
+        assert np.isnan(got[0])
+        assert got[1] == np.inf and got[2] == 0.0  # row 2 is empty
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_view_keeps_only_the_transposes_arrays(self):
+        m = seeded_link_matrix(2000, 1)
+        RowView(m)  # first-call costs stay out
+        tracemalloc.start()
+        try:
+            view = RowView(m)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the transpose's rows and vals, 8 bytes each a nonzero, and its indptr, 8 bytes
+        # a row, plus the objects; a list of per-row array pairs adds about 230 bytes a row
+        assert view.n == 2000 and m.nnz == 16000
+        assert kept <= 16 * m.nnz + 8 * (m.n + 1) + 4096, f"{kept / m.nnz:.2f} bytes a nonzero"
 
 
 class TestSchemeSpec:

@@ -10,7 +10,6 @@ from .diffusion import (
     DiffusionRun,
     DiffusionState,
     StoppingRule,
-    TraceRecord,
     aggregate_sweeps,
     diffuse_coordinate,
     diffuse_vector,

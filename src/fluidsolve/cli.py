@@ -271,10 +271,10 @@ def cancellation_report(case: CaseDefinition, scheme: str, n_steps: int,
         raise ValueError("n_steps must be >= 1")
     run = _trace_scheme(case, scheme, seq_spec, StoppingRule(tol=None, max_steps=n_steps), 1).run
     per_step = []
-    for rec in run.trace[1:]:
-        lost = rec.cancelled + rec.contracted
-        frac = rec.cancelled / lost if lost > 0.0 else math.nan
-        per_step.append((rec.step, rec.cancelled, rec.contracted, frac))
+    for step, _, cancelled, contracted in run.trace.rows[1:].tolist():
+        lost = cancelled + contracted
+        frac = cancelled / lost if lost > 0.0 else math.nan
+        per_step.append((step, cancelled, contracted, frac))
     return CancellationSummary(
         scheme=scheme,
         steps=n_steps,

@@ -41,13 +41,13 @@ trace rows a buffer at a time; without a compiler it runs the engine's own
 steps, :func:`_coordinate_step` and :func:`_vector_step`, in the same loops.
 A coordinate-level run keeps one trace row per window of steps.
 
-A trace is one float64 array of [step, residual_l1, cancelled, contracted]
-rows, 32 bytes a row once a run ends, read back as :class:`TraceRecord`
-items. A windowed run's trace grows by 32 bytes per window, and an
-``every=1`` run's by 32 bytes per step. The run functions' buffers of rows
-are copied into that array whole and numbered on from its row count, so row
-k of a run is step (or window) k; a row the engine records carries
-``state.step``.
+A trace is one record array of :data:`TRACE_DTYPE` rows (step, residual_l1,
+cancelled, contracted), 32 bytes a row once a run ends: an item is an
+``np.record`` and ``rows.residual_l1`` is the residual column. A windowed
+run's trace grows by 32 bytes per window, and an ``every=1`` run's by 32
+bytes per step. The run functions' buffers of rows are copied into that
+array whole and numbered on from its row count, so row k of a run is step
+(or window) k; a row the engine records carries ``state.step``.
 
 The state and every row the engine records hold the exact l1(F), that is
 ``np.abs(F).sum()`` after the step. Only the coordinate-level driver, the
@@ -63,11 +63,8 @@ by one driver, while independent runs may share read-only matrices freely.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +72,6 @@ from . import _clu
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector
 
 __all__ = [
-    "TraceRecord",
     "DiffusionState",
     "StoppingRule",
     "DiffusionRun",
@@ -86,69 +82,47 @@ __all__ = [
 ]
 
 
-class TraceRecord(NamedTuple):
-    """Per-step measurement row; residual_l1 is the L1 norm of F after the step."""
-
-    step: int
-    residual_l1: float
-    cancelled: float
-    contracted: float
-
-
-_ITER_ROWS = 4096  # rows converted at a time while iterating a trace: a record is ~150 bytes
-
-
-def _records(block: np.ndarray):
-    """The :class:`TraceRecord` items of a (k, 4) block of trace rows."""
-    # tuple.__new__ is TraceRecord._make without a Python call per row
-    return map(tuple.__new__, repeat(TraceRecord),
-               zip(block[:, 0].astype(np.int64).tolist(), *block[:, 1:].T.tolist()))
+TRACE_DTYPE = np.dtype([("step", np.int64), ("residual_l1", np.float64),
+                        ("cancelled", np.float64), ("contracted", np.float64)])
 
 
 class _Trace(Sequence):
-    """A state's trace: row k is ``TraceRecord(*rows[k])``, built on access.
+    """A state's trace: its rows live in one record array of :data:`TRACE_DTYPE`.
 
-    The rows [step, residual_l1, cancelled, contracted] live in one float64
-    array that grows by doubling, 32 bytes a row once :meth:`trim` drops the
-    spare capacity; a step is exact in a double up to 2**53. Indexing,
-    negative indexing and iteration give :class:`TraceRecord` items; a slice
-    gives a list of them.
+    The array grows by doubling, 32 bytes a row once :meth:`trim` drops the
+    spare capacity. Length, indexing, iteration and ``np.asarray`` read
+    :attr:`rows`: an item is an ``np.record`` with fields step, residual_l1,
+    cancelled and contracted, and a slice is a record array.
     """
 
     __slots__ = ("_buf", "_len")
 
     def __init__(self):
-        self._buf = np.empty((16, 4))
+        self._buf = np.recarray(16, TRACE_DTYPE)
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(_records(self.rows[k]))
-        k = operator.index(k)
-        if k < 0:
-            k += self._len
-        if not 0 <= k < self._len:
-            raise IndexError("trace row out of range")
-        return next(_records(self._buf[k:k + 1]))
+        return self.rows[k]
 
     def __iter__(self):
-        rows = self.rows
-        return chain.from_iterable(_records(rows[lo:lo + _ITER_ROWS])
-                                   for lo in range(0, len(rows), _ITER_ROWS))
+        return iter(self.rows)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.rows, dtype, copy=copy)
 
     @property
-    def rows(self) -> np.ndarray:
-        """The (len, 4) array of rows, a view that the next append may leave behind."""
+    def rows(self) -> np.recarray:
+        """The record array of rows, a view that the next append may leave behind."""
         return self._buf[:self._len]
 
     def _reserve(self, count: int) -> int:
         """Make room for ``count`` more rows; return the index of the first."""
         start = self._len
         if start + count > len(self._buf):
-            grown = np.empty((max(2 * len(self._buf), start + count), 4))
+            grown = np.recarray(max(2 * len(self._buf), start + count), TRACE_DTYPE)
             grown[:start] = self._buf[:start]
             self._buf = grown
         self._len = start + count
@@ -162,8 +136,8 @@ class _Trace(Sequence):
         """Append a (k, 3) array of [residual_l1, cancelled, contracted] rows as steps len, len + 1, ..."""
         start = self._reserve(len(values))
         block = self._buf[start:self._len]
-        block[:, 0] = np.arange(start, self._len)
-        block[:, 1:] = values
+        block.step = np.arange(start, self._len)
+        block.residual_l1, block.cancelled, block.contracted = values.T
 
     def trim(self) -> None:
         """Drop the spare capacity."""
@@ -339,7 +313,8 @@ class DiffusionRun:
         return self.status == "converged"
 
     @property
-    def trace(self) -> Sequence[TraceRecord]:
+    def trace(self) -> _Trace:
+        """The state's trace; ``trace.rows`` is its record array, ``rows.residual_l1`` a column."""
         return self.state.trace
 
     @property
@@ -381,7 +356,7 @@ def run_diffusion(
 
     state = DiffusionState.start(as_vector(f0, m.n))
     stop_at = -1.0 if stop.tol is None else stop.tol
-    status = _STATUS[_status(state.trace[0].residual_l1, stop_at)]
+    status = _STATUS[_status(state.trace.rows.residual_l1[0], stop_at)]
     if status == "budget":
         status = _run(state, m, stop, None if seq is None else seq.period(), every)
     return DiffusionRun(state, status)
@@ -503,7 +478,7 @@ def _run(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule,
     and every n steps. Only an exact value ends the run.
     """
     trace = state.trace
-    acc = np.array([trace.rows[-1, 1], 0.0, 0.0, state.total_cancelled, state.total_contracted])
+    acc = np.array([trace.rows.residual_l1[-1], 0.0, 0.0, state.total_cancelled, state.total_contracted])
     run = np.array([state.step, state.delivered, 0], dtype=np.int64)
     steps = _bind(m, state, acc, run, order, every)
     stop_at = -1.0 if stop.tol is None else stop.tol
@@ -517,27 +492,23 @@ def _run(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule,
     return status
 
 
-def aggregate_sweeps(trace: Sequence[TraceRecord], every: int) -> list[TraceRecord]:
-    """Downsample a per-step trace to every ``every``-th step.
+def aggregate_sweeps(trace, every: int) -> np.recarray:
+    """Downsample a per-step trace, a run's or a list of 4-tuples, to every ``every``-th step.
 
     Row k reports the residual after k*every steps with cancelled/contracted
-    summed over that window; a trailing partial window is dropped. Row 0 is
-    passed through. This is the reporting convention for coordinate-level
-    runs, where one "iteration" means n consecutive coordinate updates.
+    summed over that window in step order; a trailing partial window is
+    dropped. Row 0 is passed through. This is the reporting convention for
+    coordinate-level runs, where one "iteration" means n consecutive
+    coordinate updates. Returns a record array, as a run's ``trace.rows``.
     """
     if every <= 0:
         raise ValueError("every must be positive")
-    if not trace:
-        return []
-    out = [TraceRecord(0, trace[0].residual_l1, 0.0, 0.0)]
-    for k, upper in enumerate(range(every, len(trace), every), start=1):
-        window = trace[upper - every + 1 : upper + 1]
-        out.append(
-            TraceRecord(
-                k,
-                trace[upper].residual_l1,
-                sum(r.cancelled for r in window),
-                sum(r.contracted for r in window),
-            )
-        )
-    return out
+    rows, out = np.asarray(trace, TRACE_DTYPE), _Trace()
+    if len(rows):
+        resid, cancelled, contracted = (rows[name].tolist() for name in TRACE_DTYPE.names[1:])
+        out.append(0, resid[0], 0.0, 0.0)
+        for k, upper in enumerate(range(every, len(rows), every), start=1):
+            window = slice(upper - every + 1, upper + 1)
+            out.append(k, resid[upper], sum(cancelled[window]), sum(contracted[window]))
+    out.trim()
+    return out.rows

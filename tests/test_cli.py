@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -268,6 +269,15 @@ class TestCancellationReport:
         assert summary.cumulative_cancelled == summary.cumulative_contracted == 0.0
         assert math.isnan(summary.cumulative_fraction)
         assert all(math.isnan(frac) for _, _, _, frac in summary.per_step)
+
+    @pytest.mark.parametrize("name, scheme, seq", [
+        ("case4", "PI", "roundrobin"), ("case1", "GSl", "5,4,3,2,1")])  # the second is all 0/0
+    def test_per_step_items_are_python_numbers(self, name, scheme, seq):
+        summary = cancellation_report(load_case(name), scheme, 10, seq_spec=seq)
+        assert len(summary.per_step) == 10
+        for item in summary.per_step:
+            assert type(item) is tuple and list(map(type, item)) == [int, float, float, float]
+        json.dumps(summary.per_step)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):

@@ -9,7 +9,6 @@ from fluidsolve import (
     DiffusionState,
     SparseColumnMatrix,
     StoppingRule,
-    TraceRecord,
     UpdateSequence,
     aggregate_sweeps,
     dense_solve_oracle,
@@ -21,7 +20,7 @@ from fluidsolve import (
     uniform_vector,
 )
 from fluidsolve import _clu
-from fluidsolve.diffusion import _bind, _run, _Trace
+from fluidsolve.diffusion import TRACE_DTYPE, _bind, _run, _Trace
 from helpers import (
     engine_clu,
     identity,
@@ -577,7 +576,7 @@ class TestInvariants:
 
 
 class TestTraceStorage:
-    """A run's trace is one float64 array of rows, read back as TraceRecord items."""
+    """A run's trace is one record array of rows; an item is an np.record."""
 
     @staticmethod
     def bits(records):
@@ -596,20 +595,21 @@ class TestTraceStorage:
         run = run_diffusion(m, f0, seq, stop, every)
         if coordinate:
             engine, exact = engine_clu(m, f0, seq, stop.max_steps)
-            assert engine.trace.rows[:, 1].tolist() == exact  # record stores what it is given
+            assert engine.trace.rows.residual_l1.tolist() == exact  # record stores what it is given
             want = aggregate_sweeps(engine.trace, n)
         else:
             engine = DiffusionState.start(f0)
             for _ in range(rows):
                 diffuse_vector(engine, m)
-            # the engine's rows, read without _Trace's accessors; its steps are state.step
-            want = [TraceRecord(int(step), *row) for step, *row in engine.trace.rows.tolist()]
+            want = engine.trace.rows  # its steps are state.step
         trace = run.trace
+        assert trace.rows.dtype.names == ("step", "residual_l1", "cancelled", "contracted")
+        assert trace.rows.dtype.itemsize == 32
         assert len(trace) == len(want) == rows + 1
         assert self.bits(trace) == self.bits(want)
-        for k in (0, 1, rows, -1, -2, -(rows + 1)):
+        assert trace.rows.residual_l1.tobytes() == want.residual_l1.tobytes()
+        for k in (0, 1, rows, -1, -2, -(rows + 1)):  # perfbench/child.py reads trace[-1].residual_l1
             assert self.bits([trace[k]]) == self.bits([want[k]]), k
-            assert type(trace[k]) is TraceRecord and type(trace[k].step) is int
         for cut in (slice(1, None), slice(None, 5), slice(-3, None), slice(10, 2, -3),
                     slice(None, None, -1), slice(rows, rows + 9), slice(7, 3)):
             assert self.bits(trace[cut]) == self.bits(want[cut]), cut
@@ -623,12 +623,11 @@ class TestTraceStorage:
         for k in range(40):
             trace.append(10 * k, float(k), -0.0, 5e-324)
         trace.extend(np.full((3, 3), np.inf))
-        assert len(trace) == 43 and trace.rows.base.shape == (64, 4)  # 16 rows, doubled twice
+        assert len(trace) == 43 and trace.rows.base.shape == (64,)  # 16 rows, doubled twice
         trace.trim()
-        assert trace.rows.base.shape == (43, 4)
-        assert self.bits(trace[38:41]) == self.bits([TraceRecord(380, 38.0, -0.0, 5e-324),
-                                                     TraceRecord(390, 39.0, -0.0, 5e-324),
-                                                     TraceRecord(40, np.inf, np.inf, np.inf)])
+        assert trace.rows.base.shape == (43,)
+        want = [(380, 38.0, -0.0, 5e-324), (390, 39.0, -0.0, 5e-324), (40, np.inf, np.inf, np.inf)]
+        assert self.bits(trace[38:41]) == self.bits(np.rec.array(want, dtype=TRACE_DTYPE))
 
     @pytest.mark.parametrize("hand_step", [lambda state, m: diffuse_coordinate(state, m, 2),
                                            diffuse_vector], ids=["coordinate", "vector"])
@@ -646,7 +645,7 @@ class TestTraceStorage:
         assert [r.step for r in built.trace] == [8]
 
     def test_finished_run_keeps_32_bytes_a_row(self, clu_path):
-        # windows of one coordinate step on the seeded n=200 graph; TraceRecord objects took
+        # windows of one coordinate step on the seeded n=200 graph; a namedtuple a row took
         # about 190 bytes a row. The rows arrive (STRETCH + 1) * 2**k at a time after the first,
         # so the last buffer just overflows an array of that size: untrimmed, it would double.
         n, steps = 200, (_clu.STRETCH + 1) * 2**8
@@ -666,13 +665,12 @@ class TestTraceStorage:
 
 class TestAggregateSweeps:
     def test_windows_and_row0(self):
-        trace = [TraceRecord(0, 1.0, 0.0, 0.0)]
-        for k in range(1, 8):
-            trace.append(TraceRecord(k, 1.0 / (k + 1), 0.1 * k, 0.01 * k))
+        trace = [(k, 1.0 / (k + 1), 0.1 * k, 0.01 * k) for k in range(8)]
         rows = aggregate_sweeps(trace, 3)
+        assert rows.dtype == TRACE_DTYPE
         assert [r.step for r in rows] == [0, 1, 2]
         assert rows[0].residual_l1 == 1.0
-        assert rows[1].residual_l1 == trace[3].residual_l1
+        assert rows[1].residual_l1 == trace[3][1]
         assert rows[1].cancelled == pytest.approx(0.1 + 0.2 + 0.3)
         assert rows[2].contracted == pytest.approx(0.01 * (4 + 5 + 6))
         # the trailing partial window (step 7) is dropped

@@ -10,7 +10,6 @@ from fluidsolve import (
     ParseError,
     SparseColumnMatrix,
     StoppingRule,
-    TraceRecord,
     UpdateSequence,
     load_case,
     read_matrix_market,
@@ -286,10 +285,7 @@ def step_csv(header, rows):
 
 class TestTraceCsv:
     def test_header_and_full_precision(self, tmp_path):
-        records = [
-            TraceRecord(0, 0.15, 0.0, 0.0),
-            TraceRecord(1, 0.1275, 1.0 / 3.0, 0.0045),
-        ]
+        records = [(0, 0.15, 0.0, 0.0), (1, 0.1275, 1.0 / 3.0, 0.0045)]
         path = tmp_path / "trace.csv"
         write_trace_csv(path, records)
         lines = path.read_text().splitlines()
@@ -301,9 +297,9 @@ class TestTraceCsv:
 
     def test_trace_row_format_on_edge_values(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
-        records = [TraceRecord(k, x, values[-1 - k], -x) for k, x in enumerate(values)]
+        records = [(k, x, values[-1 - k], -x) for k, x in enumerate(values)]
         records += [(np.int64(8), np.float64(0.1), np.float64(-0.0), np.float64(5e-324)),
-                    TraceRecord(10**12, 1.0 / 3.0, 2.5e-300, 123456789.0)]
+                    (10**12, 1.0 / 3.0, 2.5e-300, 123456789.0)]
         write_trace_csv(tmp_path / "trace.csv", records)
         expected = step_csv("step,residual_l1,cancelled,contracted", records)
         assert (tmp_path / "trace.csv").read_text() == expected
@@ -333,7 +329,8 @@ class TestTraceCsv:
         finally:
             tracemalloc.stop()
         assert len(run.trace) == steps + 1
-        # a chunk's row strings, text and encoded bytes and 4,096 records: about 260 bytes a row
+        # a chunk's row strings, text and encoded bytes and 4,096 rows as Python numbers:
+        # about 260 bytes a row
         bound = 400 * CSV_CHUNK
         assert peak < bound, f"peak {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
         assert (tmp_path / "trace.csv").read_text().count("\n") == steps + 2

@@ -1,14 +1,17 @@
 """Diffusion runs compiled from ``_clu.c``.
 
-:func:`load` returns a :class:`Kernels` pair of ``bind`` functions, each of
-which ties a run function of ``_clu.c`` to one run's arrays:
+:func:`load` returns the compiled library, or None, and :func:`bind` ties one
+of its run functions to one run's arrays::
 
-* ``clu(order, indptr, rows, vals, f, h, acc, run, every, snap=None)`` for
-  the coordinate-level driver (``fluidsolve_clu_run`` documents the contract);
-* ``vlu(indptr, rows, vals, f, h, acc, run, snap=None)`` for vector-level steps
-  (``fluidsolve_vlu_run``); both take column j as ``rows``/``vals[indptr[j]:indptr[j+1]]``.
+    bind(lib, order, indptr, rows, vals, f, h, acc, run, every=1, snap=None)
 
-Each returns ``steps(max_steps, stop_at) -> rows``: one call runs until the
+With an update ``order`` it binds the coordinate-level driver, with windows
+of ``every`` steps (``fluidsolve_clu_run`` documents the contract); with
+``order`` None it binds vector-level steps (``fluidsolve_vlu_run``). Both take
+column j as ``rows``/``vals[indptr[j]:indptr[j+1]]`` and the run state
+``acc`` and ``run`` that ``diffusion._bind`` lays out.
+
+It returns ``steps(max_steps, stop_at) -> rows``: one call runs until the
 status is settled, ``max_steps`` is reached or the buffer of rows is full,
 and returns the rows it wrote as a (rows, 3) array of [residual, cancelled,
 contracted], a view of that buffer that the next call overwrites, while
@@ -36,7 +39,6 @@ import os
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,19 +74,28 @@ def rows_buffer(snap, n: int) -> np.ndarray:
     return np.empty((len(snap), 3))
 
 
-def _check(kind, indptr, rows, vals, f, h, acc, run) -> None:
-    """Raise unless the column arrays and the run state are what ``kind``'s pointers assume."""
-    n = f.size
+def bind(lib, order, indptr, rows, vals, f, h, acc, run, every=1, snap=None):
+    """``steps(max_steps, stop_at) -> rows`` of ``lib``'s run function on these arrays.
+
+    Checks the arrays once, then passes pointers: coordinate-level along
+    ``order`` with windows of ``every`` steps, vector-level when ``order`` is None.
+    """
+    kind, n = "vector-level" if order is None else "coordinate-level", f.size
     _fit(((indptr, np.int64, n + 1), (rows, np.int64, rows.size), (vals, np.float64, rows.size),
           (f, np.float64, n), (h, np.float64, n), (acc, np.float64, 5), (run, np.int64, 3)), kind)
     if (indptr[0] != 0 or indptr[-1] != rows.size or (indptr[1:] < indptr[:-1]).any()
             or not _in_range(rows, n)):
         raise ValueError(f"the column arrays do not fit the {kind} kernel")
-
-
-def _steps(fn, sizes, arrays, out, snap):
-    """``steps(max_steps, stop_at)`` of ``fn`` on ``sizes``, ``arrays``, ``out`` and ``snap``."""
-    arrays = (*arrays, out, snap)
+    if order is None:
+        fn, sizes, arrays = lib.fluidsolve_vlu_run, (n,), (indptr, rows, vals, f, h, np.empty(2 * n))
+    else:
+        _fit(((order, np.int64, order.size),), kind)
+        if order.size == 0 or not _in_range(order, n) or every < 1 or run[0] < 0:
+            raise ValueError("empty update order, or index, window or step out of range")
+        fn, sizes = lib.fluidsolve_clu_run, (every, order.size, n)
+        arrays = (order, indptr, rows, vals, f, h, np.empty(n))
+    out = rows_buffer(snap, n)
+    arrays = (*arrays, acc, run, out, snap)
     # made once: ctypes would convert each Python int argument again on every call
     ints = map(ctypes.c_int64, (len(out), *sizes))
     args = [*ints, *(ctypes.c_void_p(None if a is None else a.ctypes.data) for a in arrays)]
@@ -94,34 +105,6 @@ def _steps(fn, sizes, arrays, out, snap):
 
     steps.arrays = arrays  # keeps every buffer alive while the kernel may use it
     return steps
-
-
-def _bind_clu(fn):
-    """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
-
-    def bind(order, indptr, rows, vals, f, h, acc, run, every, snap=None):
-        _check("coordinate-level", indptr, rows, vals, f, h, acc, run)
-        _fit(((order, np.int64, order.size),), "coordinate-level")
-        if order.size == 0 or not _in_range(order, f.size) or every < 1 or run[0] < 0:
-            raise ValueError("empty update order, or index, window or step out of range")
-        scratch = np.empty(f.size)
-        return _steps(fn, (every, order.size, f.size),
-                      (order, indptr, rows, vals, f, h, scratch, acc, run),
-                      rows_buffer(snap, f.size), snap)
-
-    return bind
-
-
-def _bind_vlu(fn):
-    """``bind`` for the compiled ``fn``: checks the arrays once, then passes pointers."""
-
-    def bind(indptr, rows, vals, f, h, acc, run, snap=None):
-        _check("vector-level", indptr, rows, vals, f, h, acc, run)
-        scratch = np.empty(2 * f.size)
-        return _steps(fn, (f.size,), (indptr, rows, vals, f, h, scratch, acc, run),
-                      rows_buffer(snap, f.size), snap)
-
-    return bind
 
 
 def _compile(source: bytes, target: Path) -> None:
@@ -146,16 +129,9 @@ def _compile(source: bytes, target: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-class Kernels(NamedTuple):
-    """The ``bind`` functions of the module docstring."""
-
-    clu: Callable
-    vlu: Callable
-
-
 @functools.cache
-def load() -> Kernels | None:
-    """The compiled kernels, or None when they cannot be built."""
+def load() -> ctypes.CDLL | None:
+    """The compiled library, its run functions' argument types set, or None when it cannot be built."""
     source = SOURCE.read_bytes()
     key = zlib.crc32(" ".join(CFLAGS).encode(), zlib.crc32(source))
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fluidsolve"
@@ -171,4 +147,4 @@ def load() -> Kernels | None:
     clu.argtypes = [i64, f64, i64, i64, i64, i64, *[ptr] * 11]
     vlu.argtypes = [i64, f64, i64, i64, *[ptr] * 10]
     clu.restype = vlu.restype = i64
-    return Kernels(_bind_clu(clu), _bind_vlu(vlu))
+    return lib

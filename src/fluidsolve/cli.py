@@ -140,6 +140,7 @@ def _trace_scheme(case: CaseDefinition, scheme: str, seq_spec: str, stop: Stoppi
                   b: np.ndarray | None = None, x0: np.ndarray | None = None) -> SchemeTrace:
     """Run ``scheme``'s diffusion form on ``case``, keeping a trace row per ``every`` steps."""
     seq = make_sequence(seq_spec, case.q.n) if scheme in COORDINATE else None
+    b, x0 = (None, x0) if scheme in LINEAR else (b, None)  # each scheme takes one of the two
     equiv = diffusion_form(case.q, case.d, scheme, seq=seq, b=b, x0=x0)
     run = run_diffusion(equiv.matrix, equiv.f0, seq=equiv.seq, stop=stop, every=every)
     return SchemeTrace(scheme=scheme, equivalent=equiv, run=run)

@@ -362,23 +362,33 @@ def run_diffusion(
     return DiffusionRun(state, status)
 
 
-def _bind(m: SparseColumnMatrix, state: DiffusionState, acc: np.ndarray, run: np.ndarray,
-          order: np.ndarray | None = None, every: int = 1, snap: np.ndarray | None = None):
-    """``steps(max_steps, stop_at) -> rows`` on ``m``, ``state``'s F and H, ``acc`` and ``run``.
+def _bind(m: SparseColumnMatrix, state: DiffusionState, order: np.ndarray | None = None,
+          every: int = 1, snap: np.ndarray | None = None):
+    """``(steps, acc, run)``: ``steps(max_steps, stop_at) -> rows`` steps ``state`` on ``m``.
 
     Coordinate-level along ``order`` with windows of ``every`` steps, else
     vector-level: the kernels of :mod:`._clu`, or :func:`_python_clu` and
     :func:`_python_vlu` without a compiler. ``snap`` is the optional
-    snapshot buffer of F and H that :mod:`._clu` describes.
+    snapshot buffer of F and H that :mod:`._clu` describes. F and H are
+    ``state``'s; the rest of the run's state, which ``steps`` reads and
+    updates in place, is
+
+    * ``acc``, float64: [residual, window cancelled, window contracted,
+      total cancelled, total contracted], from the residual of ``state``'s
+      last row, empty window sums and ``state``'s totals;
+    * ``run``, int64: [step, delivered, status], from ``state``'s step and
+      delivered count and status 0, an index of ``_STATUS``.
     """
-    kernels = _clu.load()
-    if kernels is None and order is None:
-        return _python_vlu(m, state, acc, run, snap)
-    if kernels is None:
-        return _python_clu(m, state, order.tolist(), every, acc, run, snap)
-    if order is None:
-        return kernels.vlu(m.indptr, m.rows, m.vals, state.f, state.h, acc, run, snap)
-    return kernels.clu(order, m.indptr, m.rows, m.vals, state.f, state.h, acc, run, every, snap)
+    acc = np.array([state.trace.rows.residual_l1[-1], 0.0, 0.0, state.total_cancelled, state.total_contracted])
+    run = np.array([state.step, state.delivered, 0], dtype=np.int64)
+    lib = _clu.load()
+    if lib is not None:
+        steps = _clu.bind(lib, order, m.indptr, m.rows, m.vals, state.f, state.h, acc, run, every, snap)
+    elif order is None:
+        steps = _python_vlu(m, state, acc, run, snap)
+    else:
+        steps = _python_clu(m, state, order.tolist(), every, acc, run, snap)
+    return steps, acc, run
 
 
 def _python_clu(m: SparseColumnMatrix, state: DiffusionState, order: list[int], every: int,
@@ -478,9 +488,7 @@ def _run(state: DiffusionState, m: SparseColumnMatrix, stop: StoppingRule,
     and every n steps. Only an exact value ends the run.
     """
     trace = state.trace
-    acc = np.array([trace.rows.residual_l1[-1], 0.0, 0.0, state.total_cancelled, state.total_contracted])
-    run = np.array([state.step, state.delivered, 0], dtype=np.int64)
-    steps = _bind(m, state, acc, run, order, every)
+    steps, acc, run = _bind(m, state, order, every)
     stop_at = -1.0 if stop.tol is None else stop.tol
     status = "budget"
     while status == "budget" and state.step < stop.max_steps:

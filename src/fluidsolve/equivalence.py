@@ -42,8 +42,7 @@ import numpy as np
 from ._clu import STRETCH
 from .diffusion import DiffusionState, _bind
 from .linalg import SparseColumnMatrix, UpdateSequence, as_vector, l1_norm, sigma, uniform_vector
-from .schemes import (LINEAR, RowView, SchemeSpec, _check_sequence, step_gsa, step_gsl,
-                      step_jacobi, step_pi)
+from .schemes import LINEAR, RowView, SchemeSpec, step_gsa, step_gsl, step_jacobi, step_pi
 
 __all__ = [
     "DiffusionEquivalent",
@@ -151,7 +150,9 @@ def diffusion_form(
     and x0 = e for the linear ones. The linear schemes never materialize the
     dense rank-one part; their form runs on d*Q with the constant folded
     into the initial fluid f0 = d Q x0 + (1-d) e - x0. ``seq`` is the update
-    order that GSl and GSa need and that PI and Jac reject, as :class:`SchemeSpec` does.
+    order that GSl and GSa need and that PI and Jac reject; a b given to PI
+    or GSl, or a nonzero x0 given to Jac or GSa, is rejected too, as
+    :class:`SchemeSpec` does.
 
     For PI this is the exact twin of power iteration on
     P = d*Q + (1-d)/n * ones, because every PI iterate keeps sigma(x) = 1.
@@ -167,11 +168,12 @@ def diffusion_form(
     """
     n = q.n
     if scheme in LINEAR:
-        _check_sequence(scheme, seq)  # SchemeSpec checks the other schemes
-        return pagerank_decompose(q, d, x0 if x0 is not None else uniform_vector(n), seq=seq)
+        x0 = x0 if x0 is not None else uniform_vector(n)
+        SchemeSpec(scheme, q, b=b, x0=x0, seq=seq)  # checks b, x0 and seq, as for the scheme
+        return pagerank_decompose(q, d, x0, seq=seq)
     _check_damped(q, d)
     b = b if b is not None else (1.0 - d) * uniform_vector(n)
-    return to_diffusion(SchemeSpec(scheme, q.scaled(d), b=b, seq=seq))
+    return to_diffusion(SchemeSpec(scheme, q.scaled(d), b=b, x0=x0, seq=seq))
 
 
 def pagerank_matrix(q: SparseColumnMatrix, d: float) -> SparseColumnMatrix:
@@ -246,7 +248,7 @@ def verify_equivalence(spec: SchemeSpec, n_steps: int) -> EquivalenceReport:
     block = max(1, min(2**16 // n, STRETCH))
     snaps = np.empty((block + 1, 2, n))  # F and H: row 0 before a twin call, row t after step t
     xs = np.empty((block + 2, n))  # x per row of snaps; for PI then x one step on
-    twin = _bind(p, state, np.zeros(5), np.zeros(3, dtype=np.int64), order, snap=snaps[1:])
+    twin = _bind(p, state, order, snap=snaps[1:])[0]
     if order is not None:
         indices, view = order.tolist(), RowView(p)
 

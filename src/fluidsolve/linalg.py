@@ -195,19 +195,30 @@ class SparseColumnMatrix:
 class UpdateSequence:
     """Infinite stream of 0-based coordinate indices with a fairness contract.
 
-    Fairness means every coordinate appears infinitely often. Round-robin
-    sequences are fair by construction; explicit lists are replayed
-    cyclically and must mention every coordinate at least once (rejected at
-    construction otherwise).
+    Fairness means every coordinate appears infinitely often. The stream
+    replays one period cyclically, so every constructor checks that the
+    period holds integer indices in range and mentions every coordinate at
+    least once; round-robin sequences are fair by construction.
     """
 
     __slots__ = ("n", "_period")
 
-    def __init__(self, n: int, period: np.ndarray):
+    def __init__(self, n: int, period):
         if n <= 0:
             raise ValueError("dimension must be positive")
+        idx = np.asarray(period)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise TypeError(f"expected 1-D integer indices, got {idx.dtype} of shape {idx.shape}")
+        bad = np.flatnonzero((idx < 0) | (idx >= n))
+        if bad.size:
+            raise ValueError(f"index {idx[bad[0]]} out of range for dimension {n}")
+        idx = idx.astype(np.int64)
+        # a count per coordinate: linear time, where a set difference would sort
+        missing = np.flatnonzero(np.bincount(idx, minlength=n) == 0)
+        if missing.size:
+            raise ValueError(f"unfair sequence: coordinates {missing.tolist()} never appear")
         self.n = int(n)
-        self._period = period
+        self._period = idx
 
     @classmethod
     def round_robin(cls, n: int) -> "UpdateSequence":
@@ -217,16 +228,7 @@ class UpdateSequence:
     @classmethod
     def explicit(cls, n: int, indices: Sequence[int]) -> "UpdateSequence":
         """Replay integer ``indices`` cyclically; they must cover every coordinate."""
-        idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":
-            raise TypeError(f"expected 1-D integer indices, got {idx.dtype} of shape {idx.shape}")
-        bad = np.flatnonzero((idx < 0) | (idx >= n))
-        if bad.size:
-            raise ValueError(f"index {idx[bad[0]]} out of range for dimension {n}")
-        missing = np.setdiff1d(np.arange(n), idx)
-        if missing.size:
-            raise ValueError(f"unfair sequence: coordinates {missing.tolist()} never appear")
-        return cls(n, idx.astype(np.int64))
+        return cls(n, indices)
 
     def period(self) -> np.ndarray:
         """One period of the sequence as a fresh int64 array; the stream repeats it."""

@@ -56,14 +56,6 @@ class RowView:
         return float(vals.dot(x[cols]))  # the ddot of ``@``, with less dispatch
 
 
-def _check_sequence(kind: str, seq: UpdateSequence | None) -> None:
-    """Gauss-Seidel (GSl, GSa) needs an update sequence; PI and Jac take none."""
-    if kind in COORDINATE and seq is None:
-        raise ValueError(f"{kind} needs an update sequence")
-    if kind not in COORDINATE and seq is not None:
-        raise ValueError(f"{kind} updates every coordinate at once; takes no sequence")
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     """Which scheme to run and with what data; validates the per-kind contract.
@@ -97,7 +89,10 @@ class SchemeSpec:
                 raise ValueError(f"{self.kind} needs an affine term b")
             if self.x0 is not None and np.any(self.x0 != 0.0):
                 raise ValueError(f"{self.kind} starts from zero; nonzero x0 rejected")
-        _check_sequence(self.kind, self.seq)
+        if self.kind in COORDINATE and self.seq is None:
+            raise ValueError(f"{self.kind} needs an update sequence")
+        if self.kind not in COORDINATE and self.seq is not None:
+            raise ValueError(f"{self.kind} updates every coordinate at once; takes no sequence")
         if self.seq is not None and self.seq.n != n:
             raise ValueError(f"sequence dimension {self.seq.n} != matrix dimension {n}")
 

@@ -89,6 +89,18 @@ class TestDiffusionForm:
         with pytest.raises(ValueError, match=f"{scheme} needs an update sequence"):
             diffusion_form(case.q, case.d, scheme)
 
+    @pytest.mark.parametrize("scheme, vector, match", [
+        ("PI", "b", "PI solves x = P x and takes no b"),
+        ("GSl", "b", "GSl solves x = P x and takes no b"),
+        ("Jac", "x0", "Jac starts from zero; nonzero x0 rejected"),
+        ("GSa", "x0", "GSa starts from zero; nonzero x0 rejected"),
+    ])
+    def test_rejects_a_vector_the_scheme_does_not_take(self, scheme, vector, match):
+        case = load_case("case1")
+        seq = make_sequence("roundrobin", 5) if scheme in ("GSl", "GSa") else None
+        with pytest.raises(ValueError, match=match):
+            diffusion_form(case.q, case.d, scheme, seq=seq, **{vector: np.ones(5)})
+
     def test_gsa_is_coordinate_level(self):
         case = load_case("case1")
         seq = make_sequence("roundrobin", 5)

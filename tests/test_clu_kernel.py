@@ -82,17 +82,17 @@ def test_kernel_matches_fallback_bitwise(every, end):
     ("snap", np.zeros((0, 2, 3))),  # a snapshot buffer of no rows
 ])
 def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
-    if _clu.load() is None:
+    lib = _clu.load()
+    if lib is None:
         pytest.skip("no C compiler to build the coordinate-level kernel")
-    bind = _clu.load().clu
     arrays = dict(order=np.arange(3), indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]),
                   vals=np.full(3, 0.5), f=np.ones(3), h=np.zeros(3), acc=np.zeros(5),
                   run=np.zeros(3, dtype=np.int64), every=1)
-    steps = bind(**arrays)
+    steps = _clu.bind(lib, **arrays)
     assert len(steps(3, -1.0)) == 3  # a row per step, as every is 1
     assert len(steps(3 + _clu.STRETCH + 1, -1.0)) == _clu.STRETCH  # at most STRETCH per call
     with pytest.raises(ValueError):
-        bind(**{**arrays, name: bad})
+        _clu.bind(lib, **{**arrays, name: bad})
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -111,28 +111,34 @@ def test_kernel_rejects_arrays_that_do_not_fit(name, bad):
     ("indptr", np.array([0, 2, 1, 3])),  # decreasing column bounds
 ])
 def test_vector_kernel_rejects_arrays_that_do_not_fit(name, bad):
-    if _clu.load() is None:
+    lib = _clu.load()
+    if lib is None:
         pytest.skip("no C compiler to build the vector-level kernel")
-    bind = _clu.load().vlu
-    arrays = dict(indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]), vals=np.full(3, 0.5),
-                  f=np.ones(3), h=np.zeros(3), acc=np.zeros(5), run=np.zeros(3, dtype=np.int64))
+    arrays = dict(order=None, indptr=np.array([0, 1, 2, 3]), rows=np.array([1, 2, 0]),
+                  vals=np.full(3, 0.5), f=np.ones(3), h=np.zeros(3), acc=np.zeros(5),
+                  run=np.zeros(3, dtype=np.int64))
     # one call runs at most STRETCH steps, the rows its buffer holds
-    assert len(bind(**arrays)(_clu.STRETCH + 1, -1.0)) == _clu.STRETCH
+    assert len(_clu.bind(lib, **arrays)(_clu.STRETCH + 1, -1.0)) == _clu.STRETCH
     with pytest.raises(ValueError):
-        bind(**{**arrays, name: bad})
+        _clu.bind(lib, **{**arrays, name: bad})
+
+
+def _count_calls(monkeypatch) -> list:
+    """Patch ``_clu.bind`` so that each call of a bound run function is appended to the list."""
+    calls, bind = [], _clu.bind
+
+    def counted(*arrays):
+        steps = bind(*arrays)
+        return lambda *args: calls.append(args) or steps(*args)
+
+    monkeypatch.setattr(_clu, "bind", counted)
+    return calls
 
 
 def test_coordinate_level_run_of_up_to_stretch_rows_is_one_call(tmp_path, monkeypatch):
-    kernels = _clu.load()
-    if kernels is None:
+    if _clu.load() is None:
         pytest.skip("no C compiler to build the coordinate-level kernel")
-    calls = []
-
-    def counted_clu(*arrays):
-        steps = kernels.clu(*arrays)
-        return lambda *args: calls.append(args) or steps(*args)
-
-    monkeypatch.setattr(_clu, "load", lambda: kernels._replace(clu=counted_clu))
+    calls = _count_calls(monkeypatch)
     for name in BUILTIN_CASES:  # what one round of the cases benchmark runs
         cfg = RunConfig(schemes=("GSl", "GSa"), output_dir=tmp_path / name)
         for trace in run_experiment(load_case(name), cfg).traces.values():
@@ -141,20 +147,9 @@ def test_coordinate_level_run_of_up_to_stretch_rows_is_one_call(tmp_path, monkey
 
 
 def test_verify_round_is_one_twin_call_per_report(tmp_path, monkeypatch):
-    kernels = _clu.load()
-    if kernels is None:
+    if _clu.load() is None:
         pytest.skip("no C compiler to build the diffusion kernels")
-    calls = []
-
-    def counted(bind):
-        def bind_counted(*arrays):
-            steps = bind(*arrays)
-            return lambda *args: calls.append(args) or steps(*args)
-
-        return bind_counted
-
-    monkeypatch.setattr(_clu, "load", lambda: _clu.Kernels(counted(kernels.clu),
-                                                           counted(kernels.vlu)))
+    calls = _count_calls(monkeypatch)
     # what one round of the cases benchmark runs
     cfg = RunConfig(iterations=50, output_dir=tmp_path)
     reports = run_verification(cfg, tmp_path / "verify.csv")
@@ -198,8 +193,8 @@ from fluidsolve import (DiffusionState, SparseColumnMatrix, StoppingRule, Update
 from fluidsolve.diffusion import _bind
 
 _clu.CFLAGS = tuple(sys.argv[1:])
-kernels = _clu.load()
-assert kernels is not None, "the sanitized kernel did not build"
+lib = _clu.load()
+assert lib is not None, "the sanitized kernel did not build"
 
 
 def bits(state, status):
@@ -213,7 +208,7 @@ def no_compiler(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     finally:
-        _clu.load = lambda: kernels
+        _clu.load = lambda: lib
 
 
 def engine(m, f0, seq, steps):
@@ -267,9 +262,8 @@ def hexes(a):  # every double of a by its bits; a NaN's sign and payload do not 
 # the rows, snapshots, acc and run after each call of a run bound to a snapshot buffer of cap rows
 def snapshot_calls(m, f0, order, every, cap, max_steps):
     state = DiffusionState.start(f0)
-    acc, run = np.array([l1_norm(f0), 0.0, 0.0, 0.0, 0.0]), np.zeros(3, dtype=np.int64)
     snap = np.empty((cap, 2, m.n))  # exactly cap rows, so a row past the cap is out of bounds
-    steps = _bind(m, state, acc, run, order, every, snap)
+    steps, acc, run = _bind(m, state, order, every, snap)
     calls = []
     while run[0] < max_steps:  # a call that a non-finite l1(F) stops early is followed by another
         rows = steps(max_steps, -1.0)

@@ -429,9 +429,9 @@ class TestSnapshots:
         tol = (exact[end] + exact[end - 1]) / 2
 
         got = DiffusionState.start(f0)
-        acc, run = np.array([exact[0], 0.0, 0.0, 0.0, 0.0]), np.zeros(3, dtype=np.int64)
         snap = np.empty((3, 2, n))  # a few rows, so the run takes many calls
-        steps = _bind(m, got, acc, run, order, every, snap)
+        steps, acc, run = _bind(m, got, order, every, snap)
+        assert acc.tolist() == [exact[0], 0.0, 0.0, 0.0, 0.0] and run.tolist() == [0, 0, 0]
         while run[2] == 0 and run[0] < len(exact) - 1:
             before = int(run[0])
             rows = steps(len(exact) - 1, tol)
@@ -443,6 +443,36 @@ class TestSnapshots:
         assert run.tolist()[::2] == [end, 1]  # converged at step end
         assert got.f.tobytes() == want[end][0].tobytes()
         assert got.h.tobytes() == want[end][1].tobytes()
+
+
+class TestResume:
+    """_run resumed on a state picks up where it stopped: _bind's acc and run come from the state."""
+
+    @staticmethod
+    def bits(state):
+        rows = [(r.step, r.residual_l1.hex(), r.cancelled.hex(), r.contracted.hex())
+                for r in state.trace]
+        return (state.f.tobytes(), state.h.tobytes(), rows, state.total_cancelled.hex(),
+                state.total_contracted.hex(), state.delivered, state.step)
+
+    @pytest.mark.parametrize("kind", ["clu", "vlu"])
+    def test_resumed_run_matches_one_uninterrupted_run(self, clu_path, kind):
+        n, stride, total = 7, 3, 66  # ends at 3, 6, 9, ...: mostly not multiples of n
+        rng = np.random.default_rng(41)
+        m = random_sparse(rng, n, 0.9)  # every column contracts, so every step has losses
+        f0 = random_signed_vector(rng, n)  # signed fluid on signed entries: cancellation
+        order = None
+        if kind == "clu":
+            order = rng.permutation(np.concatenate((np.arange(n), rng.integers(0, n, 3))))
+        every = stride if kind == "clu" else 1
+
+        whole = DiffusionState.start(f0)
+        assert _run(whole, m, StoppingRule(tol=None, max_steps=total), order, every) == "budget"
+        resumed = DiffusionState.start(f0)
+        for end in range(stride, total + 1, stride):  # a new bind at each window end
+            assert _run(resumed, m, StoppingRule(tol=None, max_steps=end), order, every) == "budget"
+        assert len(whole.trace) == total // every + 1
+        assert self.bits(resumed) == self.bits(whole)
 
 
 class TestExactRecord:

@@ -11,6 +11,7 @@ from fluidsolve import (
     UpdateSequence,
     l1_norm,
     load_case,
+    run_diffusion,
     sigma,
     uniform_vector,
 )
@@ -263,6 +264,18 @@ class TestUpdateSequence:
             UpdateSequence.explicit(2, [0, 2])
         with pytest.raises(ValueError, match="index -1 out of range"):
             UpdateSequence.explicit(2, [0, -1, 1])
+
+    @pytest.mark.parametrize("period, error, match", [
+        (np.array([-1, 0, 1, 2, 3]), ValueError, "index -1 out of range for dimension 5"),
+        (np.array([0, 1]), ValueError, r"unfair sequence: coordinates \[2, 3, 4\] never appear"),
+        (np.arange(5.0), TypeError, "integer indices"),
+    ])
+    def test_constructor_rejects_a_bad_period_on_either_path(self, clu_path, period, error, match):
+        # raised before a run starts, so the kernel and the no-compiler path never see the period
+        case = load_case("case1")
+        with pytest.raises(error, match=match):
+            seq = UpdateSequence(5, period)
+            run_diffusion(case.q.scaled(case.d), uniform_vector(5), seq=seq)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 30))
